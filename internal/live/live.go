@@ -48,9 +48,12 @@ type Config struct {
 	// real sleeps through TimeScale.
 	Cost sim.CostModel
 	// TimeScale compresses virtual costs into real time: a sleep of
-	// cost×TimeScale nanoseconds. The default 1e-3 turns a 2 ms
-	// virtual disk seek into a 2 µs pause — enough to create real
-	// contention without making the service crawl.
+	// cost×TimeScale nanoseconds. 0 selects the default 1e-3, which
+	// turns a 2 ms virtual disk seek into a 2 µs pause — enough to
+	// create real contention without making the service crawl. There
+	// is no zero scale: raw mode, with no modeled sleeps, is a tiny
+	// positive scale (e.g. 1e-9) under which every modeled cost rounds
+	// down to a zero-length sleep.
 	TimeScale float64
 	// BatchWindow is how long the dispatcher waits to accumulate a
 	// batch before scheduling it (default 200 µs).
@@ -120,7 +123,8 @@ type Config struct {
 	// Direction is the runtime's default push/pull policy for BFS/SSSP
 	// traversals: queries submitted with a zero-valued Dir inherit it.
 	// A query that sets its own Dir (any non-zero field) keeps it. The
-	// zero value means auto-switching with the Beamer defaults — the
+	// zero value means auto-switching with the parity-retuned defaults
+	// traverse.DefaultAlpha = 1 and traverse.DefaultBeta = 24 — the
 	// same behavior queries get with no runtime involved.
 	Direction traverse.DirectionConfig
 }
@@ -133,7 +137,7 @@ func (c *Config) validate() error {
 		c.TimeScale = 1e-3
 	}
 	if c.TimeScale < 0 {
-		return fmt.Errorf("live: TimeScale = %g, want >= 0", c.TimeScale)
+		return fmt.Errorf("live: TimeScale = %g, want > 0, or 0 for the default 1e-3 (raw mode is a tiny positive scale)", c.TimeScale)
 	}
 	if c.BatchWindow == 0 {
 		c.BatchWindow = 200 * time.Microsecond
@@ -1116,8 +1120,7 @@ func (r *Runtime) runBatch(u *liveUnit, members []*task) {
 			break
 		}
 		key := liveKey(a)
-		if u.buffer.Contains(key) {
-			u.buffer.Access(key, int64(a.Bytes))
+		if u.buffer.Hit(key, int64(a.Bytes)) {
 			hits++
 			inlineNanos += cost.MemHitNanos + liveCPU(cost, a)
 			continue
@@ -1159,9 +1162,7 @@ func (r *Runtime) runBatch(u *liveUnit, members []*task) {
 			})
 			continue
 		}
-		for _, v := range traces[i].Touched {
-			r.sigs.Record(v, u.id, now.UnixNano())
-		}
+		r.sigs.RecordAll(traces[i].Touched, u.id, now.UnixNano())
 		r.resolve(u, t, Response{
 			Result: results[i].Clone(),
 			Unit:   u.id,
@@ -1215,8 +1216,7 @@ func (r *Runtime) execute(u *liveUnit, t *task) Response {
 			return cancelled(err)
 		}
 		key := liveKey(a)
-		if u.buffer.Contains(key) {
-			u.buffer.Access(key, int64(a.Bytes))
+		if u.buffer.Hit(key, int64(a.Bytes)) {
 			hits++
 			inlineNanos += cost.MemHitNanos + liveCPU(cost, a)
 			continue
@@ -1247,9 +1247,7 @@ func (r *Runtime) execute(u *liveUnit, t *task) Response {
 	}
 
 	now := time.Now()
-	for _, v := range trace.Touched {
-		r.sigs.Record(v, u.id, now.UnixNano())
-	}
+	r.sigs.RecordAll(trace.Touched, u.id, now.UnixNano())
 	return Response{
 		Result: result.Clone(),
 		Unit:   u.id,

@@ -70,22 +70,56 @@ const DefaultCapacity = 10
 // Table stores the signature lists of all vertices. It is sharded and
 // safe for concurrent use: traversal engines record visits while the
 // scheduler reads affinities.
+//
+// Each shard owns the vertices with v mod numShards equal to its index
+// and keeps their lists in paged, fixed-capacity arenas indexed by
+// v>>shardBits: a page holds pageSize vertices' lists, capacity entries
+// each, plus one state word per vertex. A page is allocated on its
+// first write, under the shard's lock, and is never moved or freed
+// until Reset, so a list is found with two index operations and no
+// hashing, and the arenas hold no pointers for the GC to scan.
+//
+// A shard is guarded by a plain mutex, not a reader/writer lock: every
+// traversal writes the lists of all the vertices it touched while the
+// scheduler reads only its candidates' anchors, and an uncontended
+// write lock of a sync.RWMutex costs four atomic operations against a
+// sync.Mutex's two. Readers hold the lock for one scan of at most
+// capacity entries.
 type Table struct {
 	capacity int
 	shards   []shard
-	mask     uint32
+	scratch  sync.Pool // *[]graph.VertexID, RecordAll's shard-sorted copy of a trace
+}
+
+const (
+	shardBits = 6
+	numShards = 1 << shardBits
+	pageBits  = 6
+	pageSize  = 1 << pageBits
+)
+
+// page holds the signature lists of pageSize consecutive vertices of
+// one shard. Vertex slot i owns the ring ent[i*capacity :
+// (i+1)*capacity]. Its state word is the entry count while the list is
+// filling (entries at ring[0:n], oldest first) and capacity+head once
+// it is full (oldest entry at ring[head], the rest following it
+// cyclically), so a full list evicts its oldest entry by overwriting
+// it in place instead of shifting the others.
+type page struct {
+	state [pageSize]int32
+	ent   []Entry
 }
 
 type shard struct {
-	mu    sync.RWMutex
-	lists map[graph.VertexID][]Entry
-	// locks counts mutex acquisitions (read or write) on this shard's
-	// hot-path operations. Per-shard atomics avoid a single contended
-	// cache line; Table.LockAcquisitions sums them. The counter feeds
+	mu    sync.Mutex
+	pages []*page // indexed by (v>>shardBits)>>pageBits; nil until written
+	used  int     // vertices with at least one entry
+	// locks counts mutex acquisitions on this shard's hot-path
+	// operations; Table.LockAcquisitions sums them. The counter feeds
 	// the scheduler hot-path benchmarks (internal/schedbench), which
 	// assert that the batched LatestAll path takes P× fewer locks than
 	// per-proc LatestByProc scans.
-	locks atomic.Int64
+	locks int64
 }
 
 // NewTable creates a table keeping at most capacity entries per vertex
@@ -94,11 +128,8 @@ func NewTable(capacity int) *Table {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	const numShards = 64 // power of two
-	t := &Table{capacity: capacity, shards: make([]shard, numShards), mask: numShards - 1}
-	for i := range t.shards {
-		t.shards[i].lists = make(map[graph.VertexID][]Entry)
-	}
+	t := &Table{capacity: capacity, shards: make([]shard, numShards)}
+	t.scratch.New = func() any { return new([]graph.VertexID) }
 	return t
 }
 
@@ -106,7 +137,45 @@ func NewTable(capacity int) *Table {
 func (t *Table) Capacity() int { return t.capacity }
 
 func (t *Table) shardFor(v graph.VertexID) *shard {
-	return &t.shards[uint32(v)&t.mask]
+	return &t.shards[uint32(v)%numShards]
+}
+
+// lock acquires v's shard lock on a hot path, counting the
+// acquisition.
+func (t *Table) lock(v graph.VertexID) *shard {
+	s := t.shardFor(v)
+	s.mu.Lock()
+	s.locks++
+	return s
+}
+
+// list returns L(v) in place as two runs, oldest first: a, then b.
+// Both are empty when v's page has never been written. The caller
+// holds v's shard lock.
+func (t *Table) list(s *shard, v graph.VertexID) (a, b []Entry) {
+	local := uint32(v) >> shardBits
+	pi := int(local >> pageBits)
+	if pi >= len(s.pages) || s.pages[pi] == nil {
+		return nil, nil
+	}
+	p := s.pages[pi]
+	i := int(local % pageSize)
+	ring := p.ent[i*t.capacity : (i+1)*t.capacity]
+	st := int(p.state[i])
+	if st < t.capacity {
+		return ring[:st], nil
+	}
+	head := st - t.capacity
+	return ring[head:], ring[:head]
+}
+
+// addPage allocates page pi of s, growing the shard's page directory
+// as needed. The caller holds s's lock.
+func (t *Table) addPage(s *shard, pi int) {
+	if pi >= len(s.pages) {
+		s.pages = append(s.pages, make([]*page, pi+1-len(s.pages))...)
+	}
+	s.pages[pi] = &page{ent: make([]Entry, pageSize*t.capacity)}
 }
 
 // Record inserts the visit (now, proc) into L(v), keeping the list
@@ -120,25 +189,117 @@ func (t *Table) shardFor(v graph.VertexID) *shard {
 // A record older than every entry of a full list is already outside
 // the "capacity most recent visits" window and is dropped.
 func (t *Table) Record(v graph.VertexID, proc int32, now int64) {
-	s := t.shardFor(v)
-	s.mu.Lock()
-	s.locks.Add(1)
-	list := s.lists[v]
-	if len(list) == t.capacity {
-		if now < list[0].Time {
-			s.mu.Unlock()
+	s := t.lock(v)
+	t.record(s, v, proc, now)
+	s.mu.Unlock()
+}
+
+// RecordAll records the visit (now, proc) for every vertex of vs, in
+// order, with exactly the effect of calling Record on each in turn:
+// duplicates are recorded once per occurrence, and capacity eviction
+// and the stale-record rule apply per vertex as Record applies them.
+// A stable counting sort of vs by shard (into pooled scratch) lets it
+// take each touched shard's lock once instead of once per vertex;
+// records of one vertex stay in trace order because the sort is
+// stable, and records of different vertices never interact.
+//
+//vet:hotpath
+func (t *Table) RecordAll(vs []graph.VertexID, proc int32, now int64) {
+	if len(vs) == 0 {
+		return
+	}
+	bufp := t.scratch.Get().(*[]graph.VertexID)
+	if cap(*bufp) < len(vs) {
+		growScratch(bufp, len(vs))
+	}
+	sorted := (*bufp)[:len(vs)]
+	var end [numShards]int32
+	for _, v := range vs {
+		end[uint32(v)%numShards]++
+	}
+	var pos [numShards]int32
+	var sum int32
+	for i, n := range end {
+		pos[i] = sum
+		sum += n
+		end[i] = sum
+	}
+	for _, v := range vs {
+		sh := uint32(v) % numShards
+		sorted[pos[sh]] = v
+		pos[sh]++
+	}
+	var lo int32
+	for _, hi := range end {
+		if hi == lo {
+			continue
+		}
+		s := t.lock(sorted[lo])
+		for _, v := range sorted[lo:hi] {
+			t.record(s, v, proc, now)
+		}
+		s.mu.Unlock()
+		lo = hi
+	}
+	t.scratch.Put(bufp)
+}
+
+// growScratch replaces *bufp with a buffer of at least n vertices.
+func growScratch(bufp *[]graph.VertexID, n int) {
+	*bufp = make([]graph.VertexID, n)
+}
+
+// record is Record's body; the caller holds s's lock.
+//
+//vet:hotpath
+func (t *Table) record(s *shard, v graph.VertexID, proc int32, now int64) {
+	local := uint32(v) >> shardBits
+	pi := int(local >> pageBits)
+	if pi >= len(s.pages) || s.pages[pi] == nil {
+		t.addPage(s, pi)
+	}
+	p := s.pages[pi]
+	i := int(local % pageSize)
+	c := t.capacity
+	ring := p.ent[i*c : (i+1)*c]
+	st := int(p.state[i])
+	var head, n int
+	if st < c {
+		if st == 0 {
+			s.used++
+		}
+		ring[st] = Entry{Time: now, Proc: proc}
+		n = st + 1
+		p.state[i] = int32(n) // reaching c reads as full with head 0
+	} else {
+		head = st - c
+		if now < ring[head].Time {
 			return
 		}
-		copy(list, list[1:])
-		list[len(list)-1] = Entry{Time: now, Proc: proc}
-	} else {
-		list = append(list, Entry{Time: now, Proc: proc})
+		// Overwrite the oldest entry; it becomes the newest.
+		ring[head] = Entry{Time: now, Proc: proc}
+		if head++; head == c {
+			head = 0
+		}
+		n = c
+		p.state[i] = int32(c + head)
 	}
-	for i := len(list) - 1; i > 0 && list[i-1].Time > list[i].Time; i-- {
-		list[i-1], list[i] = list[i], list[i-1]
+	// Insertion-sort the new entry (logical position n-1) backwards.
+	cur := head + n - 1
+	if cur >= c {
+		cur -= c
 	}
-	s.lists[v] = list
-	s.mu.Unlock()
+	for k := n - 1; k > 0; k-- {
+		prev := cur - 1
+		if prev < 0 {
+			prev = c - 1
+		}
+		if ring[prev].Time <= ring[cur].Time {
+			break
+		}
+		ring[prev], ring[cur] = ring[cur], ring[prev]
+		cur = prev
+	}
 }
 
 // VisitedBy reports whether proc appears in L(v) — the variant
@@ -152,14 +313,14 @@ func (t *Table) VisitedBy(v graph.VertexID, proc int32) bool {
 // v, scanning L(v) newest-first (Record keeps the list time-ordered,
 // so the first match is the maximum).
 func (t *Table) LatestByProc(v graph.VertexID, proc int32) (int64, bool) {
-	s := t.shardFor(v)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.locks.Add(1)
-	list := s.lists[v]
-	for i := len(list) - 1; i >= 0; i-- {
-		if list[i].Proc == proc {
-			return list[i].Time, true
+	s := t.lock(v)
+	defer s.mu.Unlock()
+	a, b := t.list(s, v)
+	for _, run := range [2][]Entry{b, a} {
+		for i := len(run) - 1; i >= 0; i-- {
+			if run[i].Proc == proc {
+				return run[i].Time, true
+			}
 		}
 	}
 	return 0, false
@@ -183,32 +344,39 @@ func (t *Table) LatestAll(v graph.VertexID, out []int64) bool {
 	for i := range out {
 		out[i] = NoVisit
 	}
-	s := t.shardFor(v)
-	s.mu.RLock()
-	s.locks.Add(1)
+	s := t.lock(v)
+	a, b := t.list(s, v)
 	any := false
-	for _, e := range s.lists[v] {
-		p := int(e.Proc)
-		if p < 0 || p >= len(out) {
-			continue
+	for _, run := range [2][]Entry{a, b} {
+		for _, e := range run {
+			p := int(e.Proc)
+			if p < 0 || p >= len(out) {
+				continue
+			}
+			if out[p] == NoVisit || e.Time > out[p] {
+				out[p] = e.Time
+			}
+			any = true
 		}
-		if out[p] == NoVisit || e.Time > out[p] {
-			out[p] = e.Time
-		}
-		any = true
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	return any
 }
 
 // LockAcquisitions returns the cumulative number of shard-lock
-// acquisitions taken by the hot-path operations (Record, LatestByProc,
-// LatestAll) since the table was created. It is a benchmark/diagnostic
-// counter: the batched-scoring work asserts its growth rate.
+// acquisitions taken by the hot-path operations since the table was
+// created: one per Record, LatestByProc and LatestAll call, and one
+// per touched shard per RecordAll call (a RecordAll over k vertices
+// spread across s shards counts s, not k). It is a benchmark/diagnostic
+// counter: the batched-scoring work asserts its growth rate. Reading
+// it takes every shard lock, uncounted.
 func (t *Table) LockAcquisitions() int64 {
 	var total int64
 	for i := range t.shards {
-		total += t.shards[i].locks.Load()
+		s := &t.shards[i]
+		s.mu.Lock()
+		total += s.locks
+		s.mu.Unlock()
 	}
 	return total
 }
@@ -216,26 +384,27 @@ func (t *Table) LockAcquisitions() int64 {
 // Visitors returns a copy of L(v), ordered oldest to newest.
 func (t *Table) Visitors(v graph.VertexID) []Entry {
 	s := t.shardFor(v)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	list := s.lists[v]
-	if len(list) == 0 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a, b := t.list(s, v)
+	if len(a)+len(b) == 0 {
 		return nil
 	}
-	out := make([]Entry, len(list))
-	copy(out, list)
-	return out
+	return append(append(make([]Entry, 0, len(a)+len(b)), a...), b...)
 }
 
-// ForEachVisitor calls fn for every entry of L(v) without copying.
-// fn must not call back into the table.
+// ForEachVisitor calls fn for every entry of L(v), oldest first,
+// without copying. fn must not call back into the table.
 func (t *Table) ForEachVisitor(v graph.VertexID, fn func(Entry)) {
 	s := t.shardFor(v)
-	s.mu.RLock()
-	for _, e := range s.lists[v] {
-		fn(e)
+	s.mu.Lock()
+	a, b := t.list(s, v)
+	for _, run := range [2][]Entry{a, b} {
+		for _, e := range run {
+			fn(e)
+		}
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 }
 
 // Len returns the total number of vertices with at least one
@@ -244,19 +413,20 @@ func (t *Table) Len() int {
 	total := 0
 	for i := range t.shards {
 		s := &t.shards[i]
-		s.mu.RLock()
-		total += len(s.lists)
-		s.mu.RUnlock()
+		s.mu.Lock()
+		total += s.used
+		s.mu.Unlock()
 	}
 	return total
 }
 
-// Reset drops all signature lists.
+// Reset drops all signature lists and frees their pages.
 func (t *Table) Reset() {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		s.lists = make(map[graph.VertexID][]Entry)
+		s.pages = nil
+		s.used = 0
 		s.mu.Unlock()
 	}
 }

@@ -303,8 +303,7 @@ func (c *Cluster) step(u *unit, now int64) {
 	for ex.pos < len(ex.replay.Accesses) {
 		a := ex.replay.Accesses[ex.pos]
 		key := accessKey(a)
-		if u.buffer.Contains(key) {
-			u.buffer.Access(key, int64(a.Bytes))
+		if u.buffer.Hit(key, int64(a.Bytes)) {
 			tl += int64(float64(cost.MemHitNanos+cpuCost(cost, a)) * u.speed)
 			ex.pos++
 			continue
@@ -362,9 +361,7 @@ func (c *Cluster) complete(u *unit, now int64) {
 	ex := u.cur
 	u.cur = nil
 	for _, ts := range ex.members {
-		for _, v := range ts.trace.Touched {
-			c.sigs.Record(v, u.id, now)
-		}
+		c.sigs.RecordAll(ts.trace.Touched, u.id, now)
 		u.completions = append(u.completions, now)
 		c.completed++
 		c.visitedTotal += int64(ts.result.Visited)

@@ -102,7 +102,8 @@ type Config struct {
 	// Direction is the cluster's default push/pull policy for BFS/SSSP
 	// traversals: tasks whose query carries a zero-valued Dir inherit
 	// it at Run entry, mirroring the live runtime's knob. The zero
-	// value means auto-switching with the Beamer defaults. Direction
+	// value means auto-switching with the parity-retuned defaults
+	// traverse.DefaultAlpha = 1 and traverse.DefaultBeta = 24. Direction
 	// choice never changes results or traces (see internal/traverse),
 	// so simulated timings stay deterministic per seed either way.
 	Direction traverse.DirectionConfig

@@ -82,7 +82,7 @@ type DirectionConfig struct {
 	Beta float64
 }
 
-// withDefaults resolves zero thresholds to the Beamer defaults.
+// withDefaults resolves zero thresholds to DefaultAlpha and DefaultBeta.
 func (c DirectionConfig) withDefaults() DirectionConfig {
 	if c.Alpha == 0 {
 		c.Alpha = DefaultAlpha
