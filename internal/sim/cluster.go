@@ -64,14 +64,10 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 	// All units borrow one dense traversal scratch: the event loop
 	// executes kernels one at a time, and sharing keeps cluster memory
 	// at O(|V|) instead of O(P·|V|) (the paper-scale graph is 11.3M
-	// vertices). Traces and results live in per-unit buffers. The
-	// batch scratch is shared the same way when lockstep batching is
-	// on (its per-slot SSSP maps are the O(K·|V|) part of the bill).
+	// vertices). When lockstep batching is on, each unit's Batch runs
+	// over the same scratch (its per-slot SSSP maps are the O(K·|V|)
+	// part of the bill). Traces and results live in per-unit buffers.
 	scratch := traverse.NewScratch(g.NumVertices())
-	var batchScratch *traverse.BatchScratch
-	if cfg.BatchTraversals > 1 {
-		batchScratch = traverse.NewBatchScratch(g.NumVertices())
-	}
 	for i := 0; i < cfg.NumUnits; i++ {
 		speed := 1.0
 		if cfg.SpeedFactors != nil {
@@ -83,8 +79,8 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 			ws:     traverse.NewWorkspaceWithScratch(scratch),
 			speed:  speed,
 		}
-		if batchScratch != nil {
-			u.batch = traverse.NewBatchWithScratch(batchScratch)
+		if cfg.BatchTraversals > 1 {
+			u.batch = u.ws.Batch()
 		}
 		c.units = append(c.units, u)
 	}

@@ -42,9 +42,10 @@ type unit struct {
 	// complete has consumed them. The O(|V|) dense scratch inside is
 	// shared cluster-wide: the event loop runs one traversal at a time.
 	ws *traverse.Workspace
-	// batch is the unit's multi-source executor, nil unless
-	// Config.BatchTraversals enables lockstep batches. Its outputs
-	// follow the same recycle discipline as ws.
+	// batch is the unit's multi-source executor — ws's own Batch, so
+	// it shares ws's buffers — nil unless Config.BatchTraversals
+	// enables lockstep batches. Its outputs follow the same recycle
+	// discipline as ws.
 	batch *traverse.Batch
 	// speed multiplies the unit's compute and hit costs (1 = nominal).
 	speed float64

@@ -17,6 +17,9 @@ import (
 //     result scratch) is reused; nothing may escape per query.
 //   - maxAllocsRWR = 0: the RNG is a stack value (xrand.Reseed), the
 //     ranking is built in the pooled buffer.
+//   - maxAllocsBatchOfOne = 0: a one-query Batch.Run is the BFS/SSSP
+//     path plus validation; the result and trace slices it returns
+//     are the Batch's own.
 //
 // Budgets ≤ 3 are required by the PR acceptance criteria; we hold the
 // kernels to the stricter zero.
@@ -29,6 +32,8 @@ const (
 	maxAllocsSSSP   = 0
 	maxAllocsCollab = 0
 	maxAllocsRWR    = 0
+
+	maxAllocsBatchOfOne = 0
 )
 
 func allocFixture(t testing.TB) (*graph.Graph, *graphgen.PurchaseGraph) {

@@ -7,33 +7,33 @@ import (
 	"subtrav/internal/graph"
 )
 
-// Multi-source batched traversal: several same-unit queries advance
+// Batch is the one BFS/SSSP engine. Several same-unit queries advance
 // their frontiers in lockstep waves, so a record that two queries
 // touch in the same wave is loaded once for both. The paper's workload
 // premise — concurrent traversals overlap heavily on hub vertices —
 // is exactly the case where the wave union is much smaller than the
-// sum of the per-query frontiers.
+// sum of the per-query frontiers. A single-source run
+// (Workspace.BFS / Workspace.BoundedSSSP) is a batch of one.
 //
 // Correctness is anchored by a strict invariant: every query's Result
-// and Trace are bit-for-bit identical to an independent single-source
-// run of the same query. Batching changes only *when* records are
-// loaded (and therefore what the executor pays), never what a query
-// computes or touches. Two properties make this hold:
+// and Trace are bit-for-bit identical to the reference kernels'
+// (reference.go) for that query alone. Batching changes only *when*
+// records are loaded (and therefore what the executor pays), never
+// what a query computes or touches. Two properties make this hold:
 //
-//   - BFS is level-synchronous already: the single-source kernel's
-//     FIFO ring pops depth-d vertices in the exact order they were
-//     enqueued at depth d-1, which is the order a wave-at-a-time loop
-//     reproduces. The bounded-SSSP kernel expands one side per loop
-//     iteration; running one iteration per wave replays the identical
-//     expansion sequence.
+//   - BFS is level-synchronous: the reference kernel's FIFO queue
+//     pops depth-d vertices in the exact order they were enqueued at
+//     depth d-1, which is the order a wave-at-a-time loop reproduces.
+//     The bounded-SSSP kernel expands one side per loop iteration;
+//     running one iteration per wave replays the identical expansion
+//     sequence.
 //
-//   - Per-query visit state stays fully private. BFS enqueued-sets and
-//     touched-sets are packed as per-query bits in shared dense
-//     bitmask maps (epoch-stamped, O(1) clear — the same VertexMap
-//     discipline the Workspace kernels use); SSSP label/access maps
-//     are per-slot. No query can observe another's visit marks, so
-//     predicates, MaxVisits caps, and meet detection behave exactly as
-//     in isolation.
+//   - Per-query visit state stays fully private. With two or more
+//     queries, BFS enqueued-sets and touched-sets are packed as
+//     per-query bits in shared dense bitmask maps (epoch-stamped, O(1)
+//     clear); SSSP label/access maps are per-slot. No query can
+//     observe another's visit marks, so predicates, MaxVisits caps,
+//     and meet detection behave exactly as in isolation.
 //
 // The shared per-wave record-load pass is emitted as a separate
 // "shared" Trace: within one wave each distinct vertex record appears
@@ -42,7 +42,8 @@ import (
 // replaying the shared trace against a cache and disk yields the
 // batch's actual I/O and CPU cost. Across waves a record reappears —
 // the cache decides whether that is a hit, just as for independent
-// queries.
+// queries. A batch of one shares nothing: its shared trace is its
+// member's trace, and it skips the dedupe and the bitmasks.
 
 // MaxBatch is the largest number of queries one Batch.Run can advance
 // together: per-query BFS visit state is one bit per query in an int32
@@ -54,144 +55,79 @@ const MaxBatch = 32
 // structure with no wave alignment to exploit, so they run solo.
 func Batchable(op Op) bool { return op == OpBFS || op == OpSSSP }
 
-// ssspSlotMaps is the per-slot dense state of one batched SSSP query:
-// the same two label maps and two access-index maps the single-source
-// kernel keeps in its Scratch. One set per concurrent SSSP query —
-// O(|V|) each — is the price of keeping per-query state private.
-type ssspSlotMaps struct {
-	distA, distB graph.VertexMap
-	accA, accB   graph.VertexMap
-}
-
-func (m *ssspSlotMaps) grow(n int) {
-	m.distA.Grow(n)
-	m.distB.Grow(n)
-	m.accA.Grow(n)
-	m.accB.Grow(n)
-}
-
-func (m *ssspSlotMaps) reset() {
-	m.distA.Clear()
-	m.distB.Clear()
-	m.accA.Clear()
-	m.accB.Clear()
-}
-
-// BatchScratch bundles the NumVertices-sized dense structures batched
-// runs share. Like traverse.Scratch it is reset per run (epoch bumps),
-// so any number of Batches whose Run calls never overlap can share one
-// — the simulator's event loop does exactly that. Not safe for
-// concurrent use.
-type BatchScratch struct {
-	// waveLoaded dedups the shared trace within one wave: first toucher
-	// of a record in a wave emits the shared access.
-	waveLoaded graph.VertexSet
-	// sharedAcc maps a vertex to its most recent shared access index,
-	// so scan work lands on the wave-load that brought the record in.
-	sharedAcc graph.VertexMap
-	// sharedSeen dedups the shared trace's Touched across the run.
-	sharedSeen graph.VertexSet
-	// enqMask/seenMask hold per-query BFS enqueued and touched bits
-	// (bit i = query slot i), replacing K separate dense sets.
-	enqMask  graph.VertexMap
-	seenMask graph.VertexMap
-	// sssp holds per-slot SSSP maps, grown on demand to the number of
-	// SSSP queries in the largest batch seen.
-	sssp []*ssspSlotMaps
-	// levelPos is the dense frontier view of a pull wave (expanding
-	// vertex → frontier position). Used transiently within one slot's
-	// wave — Run advances slots sequentially — so one map serves every
-	// slot, rebuilt per pull wave by an epoch bump.
-	levelPos graph.VertexMap
-
-	numVertices int
-}
-
-// NewBatchScratch returns a BatchScratch sized for graphs of
-// numVertices.
-func NewBatchScratch(numVertices int) *BatchScratch {
-	s := &BatchScratch{}
-	s.grow(numVertices)
-	return s
-}
-
-func (s *BatchScratch) grow(n int) {
-	if n > s.numVertices {
-		s.numVertices = n
-	}
-	s.waveLoaded.Grow(n)
-	s.sharedAcc.Grow(n)
-	s.sharedSeen.Grow(n)
-	s.enqMask.Grow(n)
-	s.seenMask.Grow(n)
-	s.levelPos.Grow(n)
-	for _, m := range s.sssp {
-		m.grow(n)
-	}
-}
-
-// ssspMaps returns the j-th per-slot SSSP map set, allocating on first
-// use and resetting it for a fresh run.
-func (s *BatchScratch) ssspMaps(j int) *ssspSlotMaps {
-	for len(s.sssp) <= j {
-		m := &ssspSlotMaps{}
-		m.grow(s.numVertices)
-		s.sssp = append(s.sssp, m)
-	}
-	m := s.sssp[j]
-	m.reset()
-	return m
-}
-
 // batchRunner is the private per-slot state of one batched query.
 type batchRunner struct {
 	q       Query
 	done    bool
 	visited int
-	result  Result
+
+	// bit is the slot's bit in the shared bitmask maps, or 0 in a batch
+	// of one, whose marks live in private maps (see mark).
+	bit uint32
 
 	// BFS: current wave depth (== wave index while active).
 	depth int32
 
-	// SSSP: the single-source kernel's loop state, advanced one
-	// iteration per wave.
-	st             ssspState
-	depthA, depthB int
-	limitA, limitB int
-	maps           *ssspSlotMaps
+	// SSSP: the bidirectional search's loop state, advanced one side
+	// expansion per wave. maps holds the slot's labels and access
+	// indices; side 0 searches from Start, side 1 from Target.
+	st   ssspState
+	maps *slotMaps
+	side [2]ssspSide
 
-	// Direction-optimization state (see direction.go): resolved config,
-	// per-frontier push/pull hysteresis, and Beamer unexplored-edge
-	// counters — int64 so synthetic max-degree graphs can't wrap them.
-	dir          DirectionConfig
-	pulling      bool // BFS
-	pullA, pullB bool // SSSP sides
-	unexplored   int64
-	unexA, unexB int64
-	stats        DirStats
+	// Direction-optimization state (see direction.go): resolved config
+	// and the BFS frontier's push/pull hysteresis and Beamer
+	// unexplored-edge counter — int64 so synthetic max-degree graphs
+	// can't wrap it. SSSP keeps both per side.
+	dir        DirectionConfig
+	pulling    bool
+	unexplored int64
+	stats      DirStats
 }
 
-// Batch runs multi-source lockstep traversals. It owns the per-query
-// and shared output buffers, reused across runs.
+// ssspSide is one search side's frontier depth, hop limit, and
+// direction state.
+type ssspSide struct {
+	depth, limit int
+	pulling      bool
+	unexplored   int64
+}
+
+// frontiers is one slot's reusable frontier double-buffers: BFS uses
+// pair 0; SSSP one pair per search side.
+type frontiers struct {
+	cur, next [2][]graph.VertexID
+}
+
+// Batch runs BFS and SSSP queries in lockstep waves, one query or up
+// to MaxBatch. It owns the per-query and shared output buffers, reused
+// across runs.
 //
 // Ownership contract (mirrors Workspace): the Results, Traces, and
 // shared Trace returned by Run are owned by the Batch and valid only
-// until its next Run. Callers that retain a Result must Clone it;
-// callers that retain a Trace must copy its slices.
+// until its next Run (or, for a Workspace's Batch, its next kernel
+// call). Callers that retain a Result must Clone it; callers that
+// retain a Trace must copy its slices.
 //
 // Not safe for concurrent use.
 type Batch struct {
-	scratch *BatchScratch
+	scratch *Scratch
 
-	run     []batchRunner
+	// sharing is set for runs of two or more queries: only they
+	// dedupe wave loads into the shared trace and pack visit marks
+	// into per-slot bits.
+	sharing bool
+	// enq holds BFS enqueued marks: the lone slot's private map
+	// (scratch.labels[0]) in a batch of one, the bitmask map
+	// scratch.enqMask otherwise.
+	enq *graph.VertexMap
+
+	slots   []batchRunner
+	fronts  []frontiers
 	traces  []Trace
 	ptrs    []*Trace
 	results []Result
 	shared  Trace
-
-	// Per-slot frontier double-buffers: BFS uses fA/nA as its
-	// current/next frontier; SSSP uses all four (one pair per side).
-	fA, fB, nA, nB [][]graph.VertexID
 
 	// Shared wave scratch for direction-optimized expansion: the
 	// expanding-vertex list and the pull-discovery buffer, reused by
@@ -200,26 +136,22 @@ type Batch struct {
 	cands      []pullCand
 	candsOut   []pullCand
 	candCounts []int32
+	// found is an SSSP pull wave's discoveries in push order.
+	found []graph.VertexID
 }
 
-// NewBatch returns a Batch with a private BatchScratch sized for
-// graphs of numVertices.
+// NewBatch returns a Batch with a private Scratch sized for graphs of
+// numVertices. To share a Scratch, use the Batch of a Workspace built
+// by NewWorkspaceWithScratch.
 func NewBatch(numVertices int) *Batch {
-	return &Batch{scratch: NewBatchScratch(numVertices)}
-}
-
-// NewBatchWithScratch returns a Batch borrowing a shared BatchScratch.
-// The caller must guarantee Run calls across all Batches sharing it
-// never overlap (e.g. a single-threaded event loop).
-func NewBatchWithScratch(s *BatchScratch) *Batch {
-	return &Batch{scratch: s}
+	return &Batch{scratch: NewScratch(numVertices)}
 }
 
 // Run advances all queries to completion in lockstep waves and returns
 // per-query results and traces — bit-for-bit identical to independent
 // single-source runs — plus the shared wave-ordered record-load trace
-// (see the package comment at the top of this file). Only Batchable
-// ops are accepted, and at most MaxBatch queries per call.
+// (see the comment at the top of this file). Only Batchable ops are
+// accepted, and at most MaxBatch queries per call.
 func (b *Batch) Run(g *graph.Graph, queries []Query) (results []Result, traces []*Trace, shared *Trace, err error) {
 	if len(queries) == 0 {
 		return nil, nil, nil, fmt.Errorf("traverse: empty batch")
@@ -236,15 +168,33 @@ func (b *Batch) Run(g *graph.Graph, queries []Query) (results []Result, traces [
 		}
 	}
 
+	b.exec(g, queries)
+	for i := range b.ptrs {
+		b.ptrs[i] = &b.traces[i]
+	}
+	if !b.sharing {
+		return b.results, b.ptrs, &b.traces[0], nil
+	}
+	return b.results, b.ptrs, &b.shared, nil
+}
+
+// exec runs validated queries to completion.
+//
+//vet:hotpath
+func (b *Batch) exec(g *graph.Graph, queries []Query) {
 	b.begin(g, queries)
 	active := len(queries)
 	for wave := 0; active > 0; wave++ {
-		b.scratch.waveLoaded.Clear()
-		for i := range b.run {
-			r := &b.run[i]
+		if b.sharing {
+			b.scratch.waveLoaded.Clear()
+		}
+		for i := range b.slots {
+			r := &b.slots[i]
 			if r.done {
 				continue
 			}
+			from := len(b.traces[i].Accesses)
+			var charged []graph.VertexID
 			switch r.q.Op {
 			case OpBFS:
 				if wave == 0 {
@@ -255,179 +205,287 @@ func (b *Batch) Run(g *graph.Graph, queries []Query) (results []Result, traces [
 				if wave == 0 {
 					b.ssspInit(g, i)
 				} else {
-					b.ssspWave(g, i)
+					charged = b.ssspWave(g, i)
 				}
+			}
+			if b.sharing {
+				b.share(g, i, from, charged)
 			}
 			if r.done {
 				active--
 			}
 		}
 	}
-
-	for i := range b.run {
-		b.results[i] = b.run[i].result
-		b.ptrs[i] = &b.traces[i]
-	}
-	return b.results, b.ptrs, &b.shared, nil
 }
 
 // begin readies the batch for one run over g.
+//
+//vet:hotpath
 func (b *Batch) begin(g *graph.Graph, queries []Query) {
 	s := b.scratch
-	s.grow(g.NumVertices())
-	s.sharedAcc.Clear()
-	s.sharedSeen.Clear()
-	s.enqMask.Clear()
-	s.seenMask.Clear()
-	b.shared.Accesses = b.shared.Accesses[:0]
-	b.shared.Touched = b.shared.Touched[:0]
-
 	k := len(queries)
-	for len(b.run) < k {
-		b.run = append(b.run, batchRunner{})
+	b.sharing = k > 1
+	s.batched = s.batched || b.sharing
+	s.grow(g.NumVertices())
+	s.seen.Clear()
+	b.enq = &s.labels[0]
+	if b.sharing {
+		b.enq = &s.enqMask
+		s.seenMask.Clear()
+		s.sharedAcc.Clear()
+		b.shared.Accesses = b.shared.Accesses[:0]
+		b.shared.Touched = b.shared.Touched[:0]
+	}
+	b.enq.Clear()
+
+	for len(b.slots) < k {
+		b.slots = append(b.slots, batchRunner{})
+		b.fronts = append(b.fronts, frontiers{})
 		b.traces = append(b.traces, Trace{})
 		b.ptrs = append(b.ptrs, nil)
 		b.results = append(b.results, Result{})
-		b.fA = append(b.fA, nil)
-		b.fB = append(b.fB, nil)
-		b.nA = append(b.nA, nil)
-		b.nB = append(b.nB, nil)
 	}
-	b.run = b.run[:k]
+	b.slots = b.slots[:k]
+	b.fronts = b.fronts[:k]
 	b.traces = b.traces[:k]
 	b.ptrs = b.ptrs[:k]
 	b.results = b.results[:k]
-	b.fA = b.fA[:k]
-	b.fB = b.fB[:k]
-	b.nA = b.nA[:k]
-	b.nB = b.nB[:k]
 
 	ssspSlots := 0
-	for i := range b.run {
+	for i := range b.slots {
 		tr := &b.traces[i]
 		tr.Accesses = tr.Accesses[:0]
 		tr.Touched = tr.Touched[:0]
-		b.run[i] = batchRunner{q: queries[i]}
+		r := &b.slots[i]
+		*r = batchRunner{}
+		r.q = queries[i]
+		if b.sharing {
+			r.bit = 1 << uint(i)
+		}
 		if queries[i].Op == OpSSSP {
-			b.run[i].maps = s.ssspMaps(ssspSlots)
+			r.maps = s.ssspMaps(ssspSlots)
 			ssspSlots++
 		}
 	}
 }
 
-// touch records query i's access to v in both the per-query trace and
-// the shared wave trace, returning the per-query access index (the
-// exact analogue of Workspace.touch).
-func (b *Batch) touch(g *graph.Graph, i int, v graph.VertexID) int {
-	bytes := g.VertexBytes(v)
-	tr := &b.traces[i]
-	tr.Accesses = append(tr.Accesses, Access{Vertex: v, Bytes: bytes})
-	bit := uint32(1) << uint(i)
-	if m, _ := b.scratch.seenMask.Get(v); uint32(m)&bit == 0 {
-		b.scratch.seenMask.Put(v, int32(uint32(m)|bit))
-		tr.Touched = append(tr.Touched, v)
-	}
-
-	if b.scratch.waveLoaded.Add(v) {
-		b.scratch.sharedAcc.Put(v, int32(len(b.shared.Accesses)))
-		b.shared.Accesses = append(b.shared.Accesses, Access{Vertex: v, Bytes: bytes})
-		if b.scratch.sharedSeen.Add(v) {
-			b.shared.Touched = append(b.shared.Touched, v)
+// mark sets the slot's mark on u in m and reports whether it was
+// newly set. bit is the slot's bit in a shared bitmask map, or 0 when
+// m belongs to one slot and presence alone is the mark. The per-edge
+// and per-vertex loops of bfsPush and discover spell the bit-0 case
+// out instead: there the inlined helper costs several percent.
+//
+//vet:hotpath
+func mark(m *graph.VertexMap, u graph.VertexID, bit uint32) bool {
+	if bit == 0 {
+		if m.Contains(u) {
+			return false
 		}
+	} else if x, _ := m.Get(u); uint32(x)&bit != 0 {
+		return false
+	} else {
+		bit |= uint32(x)
+	}
+	m.Put(u, int32(bit))
+	return true
+}
+
+// touch records a query's access to v in its trace tr, returning the
+// access index. A batch of one also dedupes Touched here; with
+// sharing, share does it after the wave.
+//
+//vet:hotpath
+func (b *Batch) touch(g *graph.Graph, tr *Trace, v graph.VertexID) int {
+	tr.Accesses = append(tr.Accesses, Access{Vertex: v, Bytes: g.VertexBytes(v)})
+	if !b.sharing && b.scratch.seen.Add(v) {
+		tr.Touched = append(tr.Touched, v)
 	}
 	return len(tr.Accesses) - 1
 }
 
-// chargeScan attributes edge-scan work on v's record to query i's
-// access acc and, once, to the shared wave-load that brought the
-// record in (its most recent shared access).
-func (b *Batch) chargeScan(i, acc int, v graph.VertexID, edges int) {
-	b.traces[i].chargeScan(acc, edges)
-	if idx, ok := b.scratch.sharedAcc.Get(v); ok {
-		b.shared.chargeScan(int(idx), edges)
+// share folds slot i's work in the wave just run into its Touched and
+// the shared trace: the scans an SSSP side charged to its frontier
+// (charged), then the accesses from index from on, in order. Each
+// record's first toucher in the wave emits the shared access, and a
+// scan charged with an access (BFS charges an expanding vertex right
+// after touching it) lands on that record's latest shared access.
+// This equals updating the shared trace at each touch and scan: no
+// other slot runs in between, and an SSSP side never touches its own
+// frontier again.
+//
+//vet:hotpath
+func (b *Batch) share(g *graph.Graph, i, from int, charged []graph.VertexID) {
+	s := b.scratch
+	for _, v := range charged {
+		idx, _ := s.sharedAcc.Get(v)
+		b.shared.chargeScan(int(idx), g.Degree(v))
+	}
+	tr := &b.traces[i]
+	bit := b.slots[i].bit
+	for _, a := range tr.Accesses[from:] {
+		v := a.Vertex
+		if mark(&s.seenMask, v, bit) {
+			tr.Touched = append(tr.Touched, v)
+		}
+		if s.waveLoaded.Add(v) {
+			s.sharedAcc.Put(v, int32(len(b.shared.Accesses)))
+			b.shared.Accesses = append(b.shared.Accesses, Access{Vertex: v, Bytes: a.Bytes})
+			if s.seen.Add(v) {
+				b.shared.Touched = append(b.shared.Touched, v)
+			}
+		}
+		if a.ScannedEdges > 0 {
+			idx, _ := s.sharedAcc.Get(v)
+			b.shared.chargeScan(int(idx), int(a.ScannedEdges))
+		}
 	}
 }
 
-// bfsInit seeds slot i's frontier with its start vertex (the
-// single-source kernel's initial seed + enqueued.Put) and its
+// discover is the bottom-up discovery pass of every pull wave, BFS and
+// SSSP alike: scan each vertex not yet marked in labels (see mark;
+// SSSP side labels are private maps, bit 0) and probe its in-edges for
+// a qualifying frontier parent, keeping the minimum (frontier position
+// << 32 | forward slot) key — the rank at which a push wave would have
+// discovered it. The discoveries come
+// back ordered by key (orderPullCands), which is the push discovery
+// order exactly. The probe cannot early-exit on the first parent (the
+// classic bottom-up shortcut) precisely because the *minimum* key is
+// needed; the win is that the in-edges of the shrinking unvisited set
+// are far fewer than the out-edges of a dense frontier.
+//
+// Pull probing walks the in-CSR index, which is in-memory adjacency
+// metadata like the forward offsets — not a record load — so it adds
+// nothing to any trace.
+//
+//vet:hotpath
+func (b *Batch) discover(g *graph.Graph, q *Query, frontier []graph.VertexID, labels *graph.VertexMap, bit uint32) []pullCand {
+	in := g.In()
+	pos := &b.scratch.levelPos
+	pos.Clear()
+	for j, v := range frontier {
+		pos.Put(v, int32(j))
+	}
+	cands := b.cands[:0]
+	n := graph.VertexID(g.NumVertices())
+	for u := graph.VertexID(0); u < n; u++ {
+		if bit == 0 {
+			if labels.Contains(u) {
+				continue
+			}
+		} else if x, _ := labels.Get(u); uint32(x)&bit != 0 {
+			continue
+		}
+		lo, hi := in.Edges(u)
+		best := uint64(math.MaxUint64)
+		for p := lo; p < hi; p++ {
+			j, ok := pos.Get(in.Sources[p])
+			if !ok {
+				continue
+			}
+			key := uint64(j)<<32 | uint64(in.FwdSlot[p])
+			if key >= best {
+				continue
+			}
+			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(int64(in.FwdSlot[p])))) {
+				continue
+			}
+			best = key
+		}
+		if best != math.MaxUint64 {
+			cands = append(cands, pullCand{key: best, u: u})
+		}
+	}
+	b.cands = cands
+	return orderPullCands(cands, len(frontier), &b.candsOut, &b.candCounts)
+}
+
+// bfsInit seeds slot i's frontier with its start vertex and its
 // direction state.
+//
+//vet:hotpath
 func (b *Batch) bfsInit(g *graph.Graph, i int) {
-	r := &b.run[i]
-	b.fA[i] = append(b.fA[i][:0], r.q.Start)
-	bit := uint32(1) << uint(i)
-	m, _ := b.scratch.enqMask.Get(r.q.Start)
-	b.scratch.enqMask.Put(r.q.Start, int32(uint32(m)|bit))
-	r.depth = 0
+	r := &b.slots[i]
+	f := &b.fronts[i]
+	f.cur[0] = append(f.cur[0][:0], r.q.Start)
+	mark(b.enq, r.q.Start, r.bit)
 	r.dir = r.q.Dir.withDefaults()
 	r.unexplored = g.NumSlots() - int64(g.Degree(r.q.Start))
-	r.pulling = false
 }
 
 // bfsWave processes slot i's entire depth-d frontier — the contiguous
-// run of depth-d pops in the single-source kernel — and builds the
+// run of depth-d pops in the reference kernel's queue — and builds the
 // depth-d+1 frontier, top-down or bottom-up per the direction
-// heuristic. Like the single-source kernel, the wave splits into a
-// process pass (touches, predicates, visit cap, scan charges — all
-// the trace-visible work) and an expansion pass that only builds the
-// next frontier, so push and pull waves leave identical traces.
+// heuristic. The wave splits into a process pass (touch every frontier
+// vertex in pop order, apply VertexPred / MaxVisits / depth bound,
+// charge scans — all the trace-visible work) and an expansion pass
+// that only builds the next frontier, so push and pull waves leave
+// identical traces.
+//
+//vet:hotpath
 func (b *Batch) bfsWave(g *graph.Graph, i int) {
-	r := &b.run[i]
+	r := &b.slots[i]
 	q := &r.q
-	cur := b.fA[i]
-	next := b.nA[i][:0]
-	bit := uint32(1) << uint(i)
+	tr := &b.traces[i]
+	f := &b.fronts[i]
+	cur := f.cur[0]
+	next := f.next[0][:0]
 
 	exp := b.expand[:0]
 	var mF int64
+	visited, expand := r.visited, int(r.depth) < q.Depth
 	for _, v := range cur {
-		acc := b.touch(g, i, v)
+		acc := b.touch(g, tr, v)
 		if q.VertexPred != nil && !q.VertexPred(g.VertexProps(v)) {
 			continue
 		}
-		r.visited++
-		if q.MaxVisits > 0 && r.visited >= q.MaxVisits {
-			// The single-source kernel breaks out of its pop loop here,
+		visited++
+		if q.MaxVisits > 0 && visited >= q.MaxVisits {
+			// The reference kernel breaks out of its pop loop here,
 			// dropping the rest of the queue — so the remainder of this
 			// frontier and the expansion pass are dropped too.
 			r.done = true
 			break
 		}
-		if int(r.depth) >= q.Depth {
+		if !expand {
 			continue
 		}
 		lo, hi := g.EdgeSlots(v)
-		b.chargeScan(i, acc, v, int(hi-lo))
+		tr.chargeScan(acc, int(hi-lo))
 		exp = append(exp, v)
 		mF += hi - lo
 	}
+	r.visited = visited
 	b.expand = exp
 	if !r.done && len(exp) > 0 {
 		pull := r.dir.next(r.pulling, mF, r.unexplored, len(exp), g.NumVertices())
 		r.stats.record(pull, r.pulling, r.depth == 0)
 		r.pulling = pull
 		if pull {
-			next = b.bfsPullWave(g, i, exp, next, bit)
+			for _, c := range b.discover(g, q, exp, b.enq, r.bit) {
+				mark(b.enq, c.u, r.bit)
+				r.unexplored -= int64(g.Degree(c.u))
+				next = append(next, c.u)
+			}
 		} else {
-			next = b.bfsPushWave(g, i, exp, next, bit)
+			next = bfsPush(g, q, exp, next, b.enq, r.bit, &r.unexplored)
 		}
 	}
-	b.fA[i], b.nA[i] = next, cur
+	f.cur[0], f.next[0] = next, cur
 	r.depth++
 	if len(next) == 0 {
 		r.done = true
 	}
 	if r.done {
-		r.result = Result{Visited: r.visited}
+		b.results[i] = Result{Visited: r.visited}
 	}
 }
 
-// bfsPushWave is Workspace.bfsPush with the per-query enqueued set
-// packed as bit i of the shared mask map.
+// bfsPush is the top-down expansion: scan each expanding vertex's
+// out-edges in order and enqueue the targets not yet marked in enq
+// (see mark) as discovered.
 //
 //vet:hotpath
-func (b *Batch) bfsPushWave(g *graph.Graph, i int, exp, next []graph.VertexID, bit uint32) []graph.VertexID {
-	r := &b.run[i]
-	q := &r.q
+func bfsPush(g *graph.Graph, q *Query, exp, next []graph.VertexID, enq *graph.VertexMap, bit uint32, unexplored *int64) []graph.VertexID {
 	for _, v := range exp {
 		lo, hi := g.EdgeSlots(v)
 		for s := lo; s < hi; s++ {
@@ -435,194 +493,171 @@ func (b *Batch) bfsPushWave(g *graph.Graph, i int, exp, next []graph.VertexID, b
 				continue
 			}
 			u := g.TargetAt(s)
-			m, _ := b.scratch.enqMask.Get(u)
-			if uint32(m)&bit != 0 {
+			if bit == 0 { // mark, spelled out
+				if enq.Contains(u) {
+					continue
+				}
+				enq.Put(u, 0)
+			} else if !mark(enq, u, bit) {
 				continue
 			}
-			b.scratch.enqMask.Put(u, int32(uint32(m)|bit))
-			r.unexplored -= int64(g.Degree(u))
+			*unexplored -= int64(g.Degree(u))
 			next = append(next, u)
 		}
 	}
 	return next
 }
 
-// bfsPullWave is Workspace.bfsPull against the bitmask enqueued set:
-// scan vertices whose slot-i bit is clear, keep the minimum (frontier
-// position, forward slot) qualifying in-edge, and sort discoveries
-// back into push order (see direction.go).
+// ssspInit performs the bidirectional search's setup: the
+// Start==Target short-circuit, the two endpoint touches, and the
+// initial frontiers. Expansion starts at wave 1.
 //
 //vet:hotpath
-func (b *Batch) bfsPullWave(g *graph.Graph, i int, exp, next []graph.VertexID, bit uint32) []graph.VertexID {
-	r := &b.run[i]
-	q := &r.q
-	in := g.In()
-	pos := &b.scratch.levelPos
-	pos.Clear()
-	for j, v := range exp {
-		pos.Put(v, int32(j))
-	}
-	cands := b.cands[:0]
-	n := graph.VertexID(g.NumVertices())
-	for u := graph.VertexID(0); u < n; u++ {
-		if m, _ := b.scratch.enqMask.Get(u); uint32(m)&bit != 0 {
-			continue
-		}
-		lo, hi := in.Edges(u)
-		best := uint64(math.MaxUint64)
-		for p := lo; p < hi; p++ {
-			j, ok := pos.Get(in.Sources[p])
-			if !ok {
-				continue
-			}
-			key := uint64(j)<<32 | uint64(in.FwdSlot[p])
-			if key >= best {
-				continue
-			}
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(int64(in.FwdSlot[p])))) {
-				continue
-			}
-			best = key
-		}
-		if best != math.MaxUint64 {
-			cands = append(cands, pullCand{key: best, u: u})
-		}
-	}
-	b.cands = cands
-	for _, c := range orderPullCands(cands, len(exp), &b.candsOut, &b.candCounts) {
-		m, _ := b.scratch.enqMask.Get(c.u)
-		b.scratch.enqMask.Put(c.u, int32(uint32(m)|bit))
-		r.unexplored -= int64(g.Degree(c.u))
-		next = append(next, c.u)
-	}
-	return next
-}
-
-// ssspInit performs the single-source kernel's setup: the Start==Target
-// short-circuit, the two endpoint touches, and the initial frontiers.
-// Expansion starts at wave 1.
 func (b *Batch) ssspInit(g *graph.Graph, i int) {
-	r := &b.run[i]
+	r := &b.slots[i]
 	q := &r.q
 	if q.Start == q.Target {
-		b.touch(g, i, q.Start)
-		r.result = Result{Visited: 1, Found: true, PathLen: 0}
+		b.touch(g, &b.traces[i], q.Start)
+		b.results[i] = Result{Visited: 1, Found: true, PathLen: 0}
 		r.done = true
 		return
 	}
 	m := r.maps
-	m.distA.Put(q.Start, 0)
-	m.distB.Put(q.Target, 0)
-	b.fA[i] = append(b.fA[i][:0], q.Start)
-	b.fB[i] = append(b.fB[i][:0], q.Target)
-	m.accA.Put(q.Start, int32(b.touch(g, i, q.Start)))
-	m.accB.Put(q.Target, int32(b.touch(g, i, q.Target)))
-	r.st = ssspState{visited: 2, best: -1}
-	r.limitA = (q.Depth + 1) / 2 // ceil(δ/2)
-	r.limitB = q.Depth / 2       // floor(δ/2); combined = δ
-	r.depthA, r.depthB = 0, 0
+	f := &b.fronts[i]
 	r.dir = q.Dir.withDefaults()
-	r.unexA = g.NumSlots() - int64(g.Degree(q.Start))
-	r.unexB = g.NumSlots() - int64(g.Degree(q.Target))
-	r.pullA, r.pullB = false, false
+	r.st = ssspState{visited: 2, best: -1}
+	for s, v := range [2]graph.VertexID{q.Start, q.Target} {
+		m.labels[s].Put(v, 0)
+		f.cur[s] = append(f.cur[s][:0], v)
+	}
+	for s, v := range [2]graph.VertexID{q.Start, q.Target} {
+		m.acc[s].Put(v, int32(b.touch(g, &b.traces[i], v)))
+		r.side[s].unexplored = g.NumSlots() - int64(g.Degree(v))
+	}
+	r.side[0].limit = (q.Depth + 1) / 2 // ceil(δ/2)
+	r.side[1].limit = q.Depth / 2       // floor(δ/2); combined = δ
 }
 
-// ssspWave runs one iteration of the single-source kernel's main loop
-// for slot i: the loop-condition check, one side expansion, and the
-// best-length early exit.
-func (b *Batch) ssspWave(g *graph.Graph, i int) {
-	r := &b.run[i]
-	m := r.maps
-	fA, fB := b.fA[i], b.fB[i]
-	if r.st.capped || !((r.depthA < r.limitA && len(fA) > 0) || (r.depthB < r.limitB && len(fB) > 0)) {
+// ssspWave runs one iteration of the bidirectional search for slot i:
+// the loop-condition check, one side expansion, and the best-length
+// early exit. It returns the frontier vertices whose scans it charged.
+//
+//vet:hotpath
+func (b *Batch) ssspWave(g *graph.Graph, i int) []graph.VertexID {
+	r := &b.slots[i]
+	f := &b.fronts[i]
+	openA := r.side[0].depth < r.side[0].limit && len(f.cur[0]) > 0
+	openB := r.side[1].depth < r.side[1].limit && len(f.cur[1]) > 0
+	if r.st.capped || !(openA || openB) {
 		b.ssspFinish(i)
-		return
+		return nil
 	}
-	// Alternate sides, smaller frontier first — the single-source
-	// kernel's bidirectional heuristic, verbatim.
-	expandA := r.depthA < r.limitA && len(fA) > 0 &&
-		(r.depthB >= r.limitB || len(fB) == 0 || len(fA) <= len(fB))
-	if expandA {
-		var mF int64
-		if r.dir.Mode == DirAuto && !r.pullA {
-			mF = frontierEdges(g, fA)
-		}
-		pull := r.dir.next(r.pullA, mF, r.unexA, len(fA), g.NumVertices())
-		r.stats.record(pull, r.pullA, r.depthA == 0)
-		r.pullA = pull
-		var out []graph.VertexID
-		if pull {
-			out = b.ssspExpandBatchPull(g, i, fA, b.nA[i][:0], &m.distA, &m.accA, &m.distB, r.depthA, &r.unexA)
-		} else {
-			out = b.ssspExpandBatch(g, i, fA, b.nA[i][:0], &m.distA, &m.accA, &m.distB, r.depthA, &r.unexA)
-		}
-		b.fA[i], b.nA[i] = out, fA
-		r.depthA++
-	} else {
-		var mF int64
-		if r.dir.Mode == DirAuto && !r.pullB {
-			mF = frontierEdges(g, fB)
-		}
-		pull := r.dir.next(r.pullB, mF, r.unexB, len(fB), g.NumVertices())
-		r.stats.record(pull, r.pullB, r.depthB == 0)
-		r.pullB = pull
-		var out []graph.VertexID
-		if pull {
-			out = b.ssspExpandBatchPull(g, i, fB, b.nB[i][:0], &m.distB, &m.accB, &m.distA, r.depthB, &r.unexB)
-		} else {
-			out = b.ssspExpandBatch(g, i, fB, b.nB[i][:0], &m.distB, &m.accB, &m.distA, r.depthB, &r.unexB)
-		}
-		b.fB[i], b.nB[i] = out, fB
-		r.depthB++
+	// Alternate sides, smaller frontier first, the usual bidirectional
+	// heuristic.
+	s := 1
+	if openA && (!openB || len(f.cur[0]) <= len(f.cur[1])) {
+		s = 0
 	}
-	if r.st.best >= 0 && r.st.best <= r.depthA+r.depthB {
+	sd := &r.side[s]
+	front := f.cur[s]
+	var mF int64
+	if r.dir.Mode == DirAuto && !sd.pulling {
+		mF = frontierEdges(g, front)
+	}
+	pull := r.dir.next(sd.pulling, mF, sd.unexplored, len(front), g.NumVertices())
+	r.stats.record(pull, sd.pulling, sd.depth == 0)
+	sd.pulling = pull
+	m := r.maps
+	next, charged := b.ssspExpand(g, &r.q, &r.st, &b.traces[i], sd,
+		&m.labels[s], &m.acc[s], &m.labels[1-s], pull, front, f.next[s][:0])
+	f.cur[s], f.next[s] = next, front
+	sd.depth++
+	if r.st.best >= 0 && r.st.best <= r.side[0].depth+r.side[1].depth {
 		// No shorter meeting can appear once both processed depths
 		// cover the best found length.
 		b.ssspFinish(i)
 	}
+	return front[:charged]
 }
 
-func (b *Batch) ssspFinish(i int) {
-	r := &b.run[i]
-	r.done = true
-	if r.st.best >= 0 && r.st.best <= r.q.Depth {
-		r.result = Result{Visited: r.st.visited, Found: true, PathLen: r.st.best}
-		return
-	}
-	r.result = Result{Visited: r.st.visited, Found: false}
-}
-
-// ssspExpandBatch is ssspExpand with the touches and scan charges
-// routed through the batch's dual (per-query + shared) traces.
+// ssspFinish ends slot i's search and records its Result.
 //
 //vet:hotpath
-func (b *Batch) ssspExpandBatch(g *graph.Graph, i int, frontier, next []graph.VertexID,
-	mine, accIdx, other *graph.VertexMap, depth int, unexplored *int64) []graph.VertexID {
-	r := &b.run[i]
-	q := &r.q
-	st := &r.st
-	for _, v := range frontier {
+func (b *Batch) ssspFinish(i int) {
+	r := &b.slots[i]
+	r.done = true
+	if r.st.best >= 0 && r.st.best <= r.q.Depth {
+		b.results[i] = Result{Visited: r.st.visited, Found: true, PathLen: r.st.best}
+		return
+	}
+	b.results[i] = Result{Visited: r.st.visited, Found: false}
+}
+
+// ssspExpand advances one search side a hop: sd's frontier, labeled
+// in mine with record-access indices in accIdx, against the other
+// side's labels, writing the next frontier into next (reused
+// storage). Per frontier vertex in order it charges the vertex's scan,
+// then labels its discoveries in forward slot order — its out-edge
+// targets top-down, or its share of the ordered discover pass
+// bottom-up — touching each one's record, meet-checking it against
+// the other side, and honoring the visit cap, so both directions
+// leave the identical Trace (touches interleave with labeling here,
+// unlike BFS) and counters. The other side's labels never change
+// during one side's expansion, so the precomputed pull discoveries
+// cannot go stale. It also returns how many frontier vertices it
+// charged before the visit cap stopped it. The slot's state comes
+// unpacked into arguments, which keeps the loop out of memory.
+//
+//vet:hotpath
+func (b *Batch) ssspExpand(g *graph.Graph, q *Query, st *ssspState, tr *Trace, sd *ssspSide,
+	mine, accIdx, other *graph.VertexMap, pull bool, frontier, next []graph.VertexID) ([]graph.VertexID, int) {
+	var cands []pullCand
+	if pull {
+		cands = b.discover(g, q, frontier, mine, 0)
+		found := b.found[:0]
+		for _, c := range cands {
+			found = append(found, c.u)
+		}
+		b.found = found
+	}
+	label, unexplored := int32(sd.depth+1), &sd.unexplored
+	// Pull discoveries already passed EdgePred (in discover).
+	edgePred := q.EdgePred
+	if pull {
+		edgePred = nil
+	}
+	ci, charged := 0, 0
+	for j, v := range frontier {
 		if st.capped {
 			break
 		}
+		charged++
 		lo, hi := g.EdgeSlots(v)
 		vAcc, _ := accIdx.Get(v)
-		b.chargeScan(i, int(vAcc), v, int(hi-lo))
-		for s := lo; s < hi; s++ {
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(s))) {
+		tr.chargeScan(int(vAcc), int(hi-lo))
+		// v's candidate discoveries: its out-edge targets, or the pull
+		// discoveries ranked at frontier position j.
+		targets := g.Neighbors(v)
+		if pull {
+			from := ci
+			for ci < len(cands) && int(cands[ci].key>>32) == j {
+				ci++
+			}
+			targets = b.found[from:ci]
+		}
+		for k, u := range targets {
+			if edgePred != nil && !edgePred(g.EdgeProps(g.LogicalEdge(lo+int64(k)))) {
 				continue
 			}
-			u := g.TargetAt(s)
 			if mine.Contains(u) {
 				continue
 			}
-			mine.Put(u, int32(depth+1))
-			accIdx.Put(u, int32(b.touch(g, i, u)))
+			mine.Put(u, label)
+			accIdx.Put(u, int32(b.touch(g, tr, u)))
 			st.visited++
 			*unexplored -= int64(g.Degree(u))
 			if d, ok := other.Get(u); ok {
-				total := depth + 1 + int(d)
-				if st.best < 0 || total < st.best {
+				if total := int(label + d); st.best < 0 || total < st.best {
 					st.best = total
 				}
 				continue
@@ -634,88 +669,9 @@ func (b *Batch) ssspExpandBatch(g *graph.Graph, i int, frontier, next []graph.Ve
 			next = append(next, u)
 		}
 	}
-	return next
-}
-
-// ssspExpandBatchPull is Workspace.ssspExpandPull routed through the
-// batch's dual traces: a discovery pass over this side's unlabeled
-// vertices, a counting scatter back into top-down order, then an
-// emission pass replaying ssspExpandBatch exactly (scan charges,
-// labeling, meet checks, the visit cap).
-//
-//vet:hotpath
-func (b *Batch) ssspExpandBatchPull(g *graph.Graph, i int, frontier, next []graph.VertexID,
-	mine, accIdx, other *graph.VertexMap, depth int, unexplored *int64) []graph.VertexID {
-	r := &b.run[i]
-	q := &r.q
-	st := &r.st
-	in := g.In()
-	pos := &b.scratch.levelPos
-	pos.Clear()
-	for j, v := range frontier {
-		pos.Put(v, int32(j))
-	}
-	cands := b.cands[:0]
-	n := graph.VertexID(g.NumVertices())
-	for u := graph.VertexID(0); u < n; u++ {
-		if mine.Contains(u) {
-			continue
-		}
-		lo, hi := in.Edges(u)
-		best := uint64(math.MaxUint64)
-		for p := lo; p < hi; p++ {
-			j, ok := pos.Get(in.Sources[p])
-			if !ok {
-				continue
-			}
-			key := uint64(j)<<32 | uint64(in.FwdSlot[p])
-			if key >= best {
-				continue
-			}
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(int64(in.FwdSlot[p])))) {
-				continue
-			}
-			best = key
-		}
-		if best != math.MaxUint64 {
-			cands = append(cands, pullCand{key: best, u: u})
-		}
-	}
-	b.cands = cands
-	cands = orderPullCands(cands, len(frontier), &b.candsOut, &b.candCounts)
-
-	ci := 0
-	for j, v := range frontier {
-		if st.capped {
-			break
-		}
-		lo, hi := g.EdgeSlots(v)
-		vAcc, _ := accIdx.Get(v)
-		b.chargeScan(i, int(vAcc), v, int(hi-lo))
-		for ci < len(cands) && int(cands[ci].key>>32) == j {
-			u := cands[ci].u
-			ci++
-			mine.Put(u, int32(depth+1))
-			accIdx.Put(u, int32(b.touch(g, i, u)))
-			st.visited++
-			*unexplored -= int64(g.Degree(u))
-			if d, ok := other.Get(u); ok {
-				total := depth + 1 + int(d)
-				if st.best < 0 || total < st.best {
-					st.best = total
-				}
-				continue
-			}
-			if q.MaxVisits > 0 && st.visited >= q.MaxVisits {
-				st.capped = true
-				break
-			}
-			next = append(next, u)
-		}
-	}
-	return next
+	return next, charged
 }
 
 // DirStats returns slot i's push/pull direction counters from the most
 // recent Run. Valid until the next Run.
-func (b *Batch) DirStats(i int) DirStats { return b.run[i].stats }
+func (b *Batch) DirStats(i int) DirStats { return b.slots[i].stats }

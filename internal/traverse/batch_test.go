@@ -9,11 +9,11 @@ import (
 )
 
 // The batch differential suite pins multi-source lockstep execution
-// bit-for-bit against independent single-source runs: for every query
+// bit-for-bit against the map-based reference kernels: for every query
 // in a batch, Result, Trace.Accesses, and Trace.Touched must be
-// identical to what the single-source Workspace kernel produces — so
+// identical to what the reference produces for that query alone — so
 // batching provably changes only the cost of a query mix, never its
-// outputs.
+// outputs. Batches of one are the Workspace's single-source path.
 
 // batchableQueries filters the differential battery down to the ops a
 // Batch accepts.
@@ -29,8 +29,8 @@ func batchableQueries(name string, g *graph.Graph, starts []graph.VertexID) []Qu
 }
 
 // assertBatchMatchesSingle runs queries through b as one batch and
-// through a single-source Workspace one at a time, comparing outputs
-// per slot.
+// through the reference kernels one at a time, comparing outputs per
+// slot.
 func assertBatchMatchesSingle(t *testing.T, label string, b *Batch, g *graph.Graph, queries []Query) {
 	t.Helper()
 	results, traces, shared, err := b.Run(g, queries)
@@ -41,28 +41,35 @@ func assertBatchMatchesSingle(t *testing.T, label string, b *Batch, g *graph.Gra
 		t.Fatalf("%s: got %d results / %d traces for %d queries",
 			label, len(results), len(traces), len(queries))
 	}
-	ws := NewWorkspace(g.NumVertices())
 	var sumAccesses, sumScans, sharedScans int
 	for i, q := range queries {
-		wantRes, wantTr, err := ExecuteIn(ws, g, q)
+		wantRes, wantTr, err := ExecuteReference(g, q)
 		if err != nil {
-			t.Fatalf("%s: single-source run %d failed: %v", label, i, err)
+			t.Fatalf("%s: reference run %d failed: %v", label, i, err)
 		}
 		if !reflect.DeepEqual(wantRes, results[i]) {
-			t.Fatalf("%s: slot %d (%s start=%d): Result mismatch:\nsingle: %+v\nbatch:  %+v",
+			t.Fatalf("%s: slot %d (%s start=%d): Result mismatch:\nref:   %+v\nbatch: %+v",
 				label, i, q.Op, q.Start, wantRes, results[i])
 		}
 		if !accessesEqual(wantTr.Accesses, traces[i].Accesses) {
-			t.Fatalf("%s: slot %d (%s start=%d): Trace.Accesses diverge (single %d entries, batch %d)",
+			t.Fatalf("%s: slot %d (%s start=%d): Trace.Accesses diverge (ref %d entries, batch %d)",
 				label, i, q.Op, q.Start, len(wantTr.Accesses), len(traces[i].Accesses))
 		}
 		if !touchedEqual(wantTr.Touched, traces[i].Touched) {
-			t.Fatalf("%s: slot %d (%s start=%d): Trace.Touched diverge (single %d, batch %d)",
+			t.Fatalf("%s: slot %d (%s start=%d): Trace.Touched diverge (ref %d, batch %d)",
 				label, i, q.Op, q.Start, len(wantTr.Touched), len(traces[i].Touched))
 		}
 		sumAccesses += len(traces[i].Accesses)
 		for _, a := range traces[i].Accesses {
 			sumScans += int(a.ScannedEdges)
+		}
+	}
+
+	// A batch of one shares nothing: its shared trace is exactly its
+	// member's trace.
+	if len(queries) == 1 {
+		if !accessesEqual(shared.Accesses, traces[0].Accesses) || !touchedEqual(shared.Touched, traces[0].Touched) {
+			t.Fatalf("%s: batch of one: shared trace differs from the member's trace", label)
 		}
 	}
 
@@ -168,13 +175,13 @@ func TestBatchOverlappingQueriesShareWaveLoads(t *testing.T) {
 }
 
 // TestBatchSharedScratchInterleaved drives two Batches over one shared
-// BatchScratch — the simulator's configuration — and checks outputs
-// stay pinned to single-source runs.
+// Scratch — the simulator's configuration — and checks outputs stay
+// pinned to the reference.
 func TestBatchSharedScratchInterleaved(t *testing.T) {
 	dg := diffGraphs(t)[1]
 	queries := batchableQueries(dg.name, dg.g, dg.starts)
-	sc := NewBatchScratch(dg.g.NumVertices())
-	bs := []*Batch{NewBatchWithScratch(sc), NewBatchWithScratch(sc)}
+	sc := NewScratch(dg.g.NumVertices())
+	bs := []*Batch{NewWorkspaceWithScratch(sc).Batch(), NewWorkspaceWithScratch(sc).Batch()}
 	for round := 0; round < 4; round++ {
 		lo := (round * 3) % (len(queries) - 4)
 		assertBatchMatchesSingle(t, fmt.Sprintf("round%d", round),

@@ -1,10 +1,6 @@
 package traverse
 
-import (
-	"math"
-
-	"subtrav/internal/graph"
-)
+import "subtrav/internal/graph"
 
 // BFS runs a bounded-depth breadth-first search from q.Start,
 // expanding at most q.Depth hops and honoring vertex/edge predicates:
@@ -13,7 +9,8 @@ import (
 // (inline in the source record, CPU only) but not followed.
 //
 // This one-shot form allocates a private Workspace; executors on the
-// hot path reuse one through Workspace.BFS / ExecuteIn instead.
+// hot path reuse one through Workspace.BFS / ExecuteIn instead. Every
+// form runs on the lockstep engine (see Batch).
 func BFS(g *graph.Graph, q Query) (Result, *Trace) {
 	return NewWorkspace(g.NumVertices()).BFS(g, q)
 }
@@ -30,160 +27,6 @@ func frontierEdges(g *graph.Graph, frontier []graph.VertexID) int64 {
 	return sum
 }
 
-// BFS is the zero-steady-state-allocation direction-optimizing kernel.
-// It runs level-synchronously — the exact pop order of a FIFO queue —
-// with each level split into a process pass (touch every frontier
-// vertex, apply VertexPred / MaxVisits / depth bound, charge scans)
-// and an expansion pass that builds the next frontier either top-down
-// (bfsPush) or bottom-up (bfsPull) per the Direction config. Both
-// expansions produce the identical frontier, so Result and Trace are
-// pinned bit-for-bit against BFSReference in every mode.
-//
-//vet:hotpath
-func (ws *Workspace) BFS(g *graph.Graph, q Query) (Result, *Trace) {
-	ws.begin(g)
-	dir := q.Dir.withDefaults()
-	enqueued := &ws.scratch.mapA // membership only
-	cur := append(ws.frontA[:0], q.Start)
-	next := ws.frontB[:0]
-	enqueued.Put(q.Start, 0)
-	visited := 0
-	// Beamer's m_u: out-edge slots of not-yet-enqueued vertices,
-	// maintained incrementally as vertices are enqueued.
-	unexplored := g.NumSlots() - int64(g.Degree(q.Start))
-	pulling := false
-
-	for depth := 0; len(cur) > 0; depth++ {
-		// Process pass. Touches happen in pop order; a vertex failing
-		// VertexPred is not expanded, the visit cap drops the rest of
-		// the traversal, and the depth bound stops expansion — exactly
-		// the per-pop sequence of the single-queue kernel.
-		exp := ws.expanders[:0]
-		var mF int64
-		capped := false
-		for _, v := range cur {
-			acc := ws.touch(g, v)
-			if q.VertexPred != nil && !q.VertexPred(g.VertexProps(v)) {
-				continue
-			}
-			visited++
-			if q.MaxVisits > 0 && visited >= q.MaxVisits {
-				capped = true
-				break
-			}
-			if depth >= q.Depth {
-				continue
-			}
-			lo, hi := g.EdgeSlots(v)
-			ws.trace.chargeScan(acc, int(hi-lo))
-			exp = append(exp, v)
-			mF += hi - lo
-		}
-		ws.expanders = exp
-		if capped || len(exp) == 0 {
-			break
-		}
-
-		// Expansion pass: push and pull build the identical next
-		// frontier; only the work done differs.
-		pull := dir.next(pulling, mF, unexplored, len(exp), g.NumVertices())
-		ws.dirStats.record(pull, pulling, depth == 0)
-		pulling = pull
-		next = next[:0]
-		if pull {
-			next = ws.bfsPull(g, &q, exp, next, enqueued, &unexplored)
-		} else {
-			next = ws.bfsPush(g, &q, exp, next, enqueued, &unexplored)
-		}
-		cur, next = next, cur
-	}
-	// Stash the (possibly grown) buffers for the next execution.
-	ws.frontA, ws.frontB = cur[:0], next[:0]
-	return Result{Visited: visited}, &ws.trace
-}
-
-// bfsPush is the top-down expansion: scan each expanding vertex's
-// out-edges in order and enqueue unseen targets as discovered.
-//
-//vet:hotpath
-func (ws *Workspace) bfsPush(g *graph.Graph, q *Query, exp, next []graph.VertexID,
-	enqueued *graph.VertexMap, unexplored *int64) []graph.VertexID {
-	for _, v := range exp {
-		lo, hi := g.EdgeSlots(v)
-		for s := lo; s < hi; s++ {
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(s))) {
-				continue
-			}
-			u := g.TargetAt(s)
-			if enqueued.Contains(u) {
-				continue
-			}
-			enqueued.Put(u, 0)
-			*unexplored -= int64(g.Degree(u))
-			next = append(next, u)
-		}
-	}
-	return next
-}
-
-// bfsPull is the bottom-up expansion: scan every vertex not yet
-// enqueued and probe its in-edges for an expanding parent, keeping the
-// minimum (frontier position << 32 | forward slot) key — the rank at
-// which the push expansion would have discovered it. Ordering the
-// discoveries by key (orderPullCands) then yields bfsPush's output
-// order exactly. The probe cannot early-exit on the first parent (the
-// classic bottom-up shortcut) precisely because the *minimum* key is
-// needed; the win is that the in-edges of the shrinking unvisited set
-// are far fewer than the out-edges of a dense frontier.
-//
-// Pull probing walks the in-CSR index, which is in-memory adjacency
-// metadata like the forward offsets — not a record load — so the
-// trace (all charged in the process pass) is unchanged.
-//
-//vet:hotpath
-func (ws *Workspace) bfsPull(g *graph.Graph, q *Query, exp, next []graph.VertexID,
-	enqueued *graph.VertexMap, unexplored *int64) []graph.VertexID {
-	in := g.In()
-	pos := &ws.scratch.posMap
-	pos.Clear()
-	for i, v := range exp {
-		pos.Put(v, int32(i))
-	}
-	cands := ws.cands[:0]
-	n := graph.VertexID(g.NumVertices())
-	for u := graph.VertexID(0); u < n; u++ {
-		if enqueued.Contains(u) {
-			continue
-		}
-		lo, hi := in.Edges(u)
-		best := uint64(math.MaxUint64)
-		for p := lo; p < hi; p++ {
-			i, ok := pos.Get(in.Sources[p])
-			if !ok {
-				continue
-			}
-			key := uint64(i)<<32 | uint64(in.FwdSlot[p])
-			if key >= best {
-				continue
-			}
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(int64(in.FwdSlot[p])))) {
-				continue
-			}
-			best = key
-		}
-		if best != math.MaxUint64 {
-			cands = append(cands, pullCand{key: best, u: u})
-		}
-	}
-	ws.cands = cands
-	for _, c := range orderPullCands(cands, len(exp), &ws.candsOut, &ws.candCounts) {
-		enqueued.Put(c.u, 0)
-		*unexplored -= int64(g.Degree(c.u))
-		next = append(next, c.u)
-	}
-	return next
-}
-
 // BoundedSSSP finds whether a path of length <= q.Depth connects
 // q.Start and q.Target by running two breadth-first frontiers, one
 // from each endpoint, each at most ceil(Depth/2) hops, until they
@@ -198,225 +41,9 @@ func BoundedSSSP(g *graph.Graph, q Query) (Result, *Trace) {
 	return NewWorkspace(g.NumVertices()).BoundedSSSP(g, q)
 }
 
-// ssspState threads the shared search counters through ssspExpand.
+// ssspState is a bidirectional search's shared counters.
 type ssspState struct {
 	visited int
 	capped  bool // MaxVisits reached: the search gives up expanding
 	best    int
-}
-
-// ssspExpand advances one frontier a hop top-down, writing the next
-// frontier into next (reused storage) — the method form of the
-// reference kernel's expand closure, allocation-free at steady state.
-//
-//vet:hotpath
-func (ws *Workspace) ssspExpand(g *graph.Graph, q *Query, st *ssspState,
-	frontier, next []graph.VertexID, mine, accIdx, other *graph.VertexMap, depth int, unexplored *int64) []graph.VertexID {
-	for _, v := range frontier {
-		if st.capped {
-			break
-		}
-		lo, hi := g.EdgeSlots(v)
-		vAcc, _ := accIdx.Get(v)
-		ws.trace.chargeScan(int(vAcc), int(hi-lo))
-		for s := lo; s < hi; s++ {
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(s))) {
-				continue
-			}
-			u := g.TargetAt(s)
-			if mine.Contains(u) {
-				continue
-			}
-			mine.Put(u, int32(depth+1))
-			accIdx.Put(u, int32(ws.touch(g, u)))
-			st.visited++
-			*unexplored -= int64(g.Degree(u))
-			if d, ok := other.Get(u); ok {
-				total := depth + 1 + int(d)
-				if st.best < 0 || total < st.best {
-					st.best = total
-				}
-				continue
-			}
-			if q.MaxVisits > 0 && st.visited >= q.MaxVisits {
-				st.capped = true
-				break
-			}
-			next = append(next, u)
-		}
-	}
-	return next
-}
-
-// ssspExpandPull advances one frontier a hop bottom-up. A discovery
-// pass finds, for every vertex this side has not labeled, the minimum
-// (frontier position, forward slot) qualifying in-edge from the
-// frontier; ordering those keys recovers the top-down discovery order.
-// The emission pass then replays ssspExpand exactly — per frontier
-// vertex in order: charge its scan, label its discoveries in slot
-// order, meet-check against the other side, honor the visit cap —
-// so the Trace (touches interleave with labeling here, unlike BFS)
-// and every counter are bit-for-bit identical. The other side's
-// labels never change during one side's expansion, so the
-// precomputed discoveries cannot go stale.
-//
-//vet:hotpath
-func (ws *Workspace) ssspExpandPull(g *graph.Graph, q *Query, st *ssspState,
-	frontier, next []graph.VertexID, mine, accIdx, other *graph.VertexMap, depth int, unexplored *int64) []graph.VertexID {
-	in := g.In()
-	pos := &ws.scratch.posMap
-	pos.Clear()
-	for i, v := range frontier {
-		pos.Put(v, int32(i))
-	}
-	cands := ws.cands[:0]
-	n := graph.VertexID(g.NumVertices())
-	for u := graph.VertexID(0); u < n; u++ {
-		if mine.Contains(u) {
-			continue
-		}
-		lo, hi := in.Edges(u)
-		best := uint64(math.MaxUint64)
-		for p := lo; p < hi; p++ {
-			i, ok := pos.Get(in.Sources[p])
-			if !ok {
-				continue
-			}
-			key := uint64(i)<<32 | uint64(in.FwdSlot[p])
-			if key >= best {
-				continue
-			}
-			if q.EdgePred != nil && !q.EdgePred(g.EdgeProps(g.LogicalEdge(int64(in.FwdSlot[p])))) {
-				continue
-			}
-			best = key
-		}
-		if best != math.MaxUint64 {
-			cands = append(cands, pullCand{key: best, u: u})
-		}
-	}
-	ws.cands = cands
-	cands = orderPullCands(cands, len(frontier), &ws.candsOut, &ws.candCounts)
-
-	ci := 0
-	for i, v := range frontier {
-		if st.capped {
-			break
-		}
-		lo, hi := g.EdgeSlots(v)
-		vAcc, _ := accIdx.Get(v)
-		ws.trace.chargeScan(int(vAcc), int(hi-lo))
-		for ci < len(cands) && int(cands[ci].key>>32) == i {
-			u := cands[ci].u
-			ci++
-			mine.Put(u, int32(depth+1))
-			accIdx.Put(u, int32(ws.touch(g, u)))
-			st.visited++
-			*unexplored -= int64(g.Degree(u))
-			if d, ok := other.Get(u); ok {
-				total := depth + 1 + int(d)
-				if st.best < 0 || total < st.best {
-					st.best = total
-				}
-				continue
-			}
-			if q.MaxVisits > 0 && st.visited >= q.MaxVisits {
-				st.capped = true
-				break
-			}
-			next = append(next, u)
-		}
-	}
-	return next
-}
-
-// BoundedSSSP is the dense-scratch direction-optimizing kernel:
-// per-side labels and access indices live in epoch-stamped maps,
-// frontiers in double-buffered reusable slices, and each side picks
-// push or pull per wave independently. Pinned bit-for-bit against
-// BoundedSSSPReference in every mode.
-//
-//vet:hotpath
-func (ws *Workspace) BoundedSSSP(g *graph.Graph, q Query) (Result, *Trace) {
-	ws.begin(g)
-
-	if q.Start == q.Target {
-		ws.touch(g, q.Start)
-		return Result{Visited: 1, Found: true, PathLen: 0}, &ws.trace
-	}
-
-	sc := ws.scratch
-	dir := q.Dir.withDefaults()
-	distA, distB := &sc.mapA, &sc.mapB
-	accA, accB := &sc.accA, &sc.accB
-	distA.Put(q.Start, 0)
-	distB.Put(q.Target, 0)
-	frontierA := append(ws.frontA[:0], q.Start)
-	frontierB := append(ws.frontB[:0], q.Target)
-	nextA, nextB := ws.nextA, ws.nextB
-	accA.Put(q.Start, int32(ws.touch(g, q.Start)))
-	accB.Put(q.Target, int32(ws.touch(g, q.Target)))
-	st := ssspState{visited: 2, best: -1}
-	// Per-side unexplored-edge counters and direction state: each side
-	// explores its own label set, so the Beamer accounting is per side.
-	unexA := g.NumSlots() - int64(g.Degree(q.Start))
-	unexB := g.NumSlots() - int64(g.Degree(q.Target))
-	pullA, pullB := false, false
-
-	limitA := (q.Depth + 1) / 2 // ceil(δ/2)
-	limitB := q.Depth / 2       // floor(δ/2); combined = δ
-	depthA, depthB := 0, 0
-
-	for !st.capped && ((depthA < limitA && len(frontierA) > 0) || (depthB < limitB && len(frontierB) > 0)) {
-		// Alternate sides, smaller frontier first, the usual
-		// bidirectional heuristic.
-		expandA := depthA < limitA && len(frontierA) > 0 &&
-			(depthB >= limitB || len(frontierB) == 0 || len(frontierA) <= len(frontierB))
-		if expandA {
-			var mF int64
-			if dir.Mode == DirAuto && !pullA {
-				mF = frontierEdges(g, frontierA)
-			}
-			pull := dir.next(pullA, mF, unexA, len(frontierA), g.NumVertices())
-			ws.dirStats.record(pull, pullA, depthA == 0)
-			pullA = pull
-			var out []graph.VertexID
-			if pull {
-				out = ws.ssspExpandPull(g, &q, &st, frontierA, nextA[:0], distA, accA, distB, depthA, &unexA)
-			} else {
-				out = ws.ssspExpand(g, &q, &st, frontierA, nextA[:0], distA, accA, distB, depthA, &unexA)
-			}
-			frontierA, nextA = out, frontierA
-			depthA++
-		} else {
-			var mF int64
-			if dir.Mode == DirAuto && !pullB {
-				mF = frontierEdges(g, frontierB)
-			}
-			pull := dir.next(pullB, mF, unexB, len(frontierB), g.NumVertices())
-			ws.dirStats.record(pull, pullB, depthB == 0)
-			pullB = pull
-			var out []graph.VertexID
-			if pull {
-				out = ws.ssspExpandPull(g, &q, &st, frontierB, nextB[:0], distB, accB, distA, depthB, &unexB)
-			} else {
-				out = ws.ssspExpand(g, &q, &st, frontierB, nextB[:0], distB, accB, distA, depthB, &unexB)
-			}
-			frontierB, nextB = out, frontierB
-			depthB++
-		}
-		if st.best >= 0 && st.best <= depthA+depthB {
-			// No shorter meeting can appear once both processed
-			// depths cover the best found length.
-			break
-		}
-	}
-	// Stash the (possibly grown) buffers for the next execution.
-	ws.frontA, ws.nextA = frontierA[:0], nextA[:0]
-	ws.frontB, ws.nextB = frontierB[:0], nextB[:0]
-
-	if st.best >= 0 && st.best <= q.Depth {
-		return Result{Visited: st.visited, Found: true, PathLen: st.best}, &ws.trace
-	}
-	return Result{Visited: st.visited, Found: false}, &ws.trace
 }

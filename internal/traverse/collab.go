@@ -33,9 +33,10 @@ func (ws *Workspace) CollabFilter(g *graph.Graph, q Query) (Result, *Trace) {
 	vAcc := ws.touch(g, v)
 	visited := 1
 
-	// Hop 1: buyers of v, in adjacency (= insertion) order. accA maps
-	// buyer → its trace access index; ws.orderA is the iteration list.
-	buyerAcc := &ws.scratch.accA
+	// Hop 1: buyers of v, in adjacency (= insertion) order. acc[0]
+	// maps buyer → its trace access index; ws.orderA is the iteration
+	// list.
+	buyerAcc := &ws.scratch.acc[0]
 	lo, hi := g.EdgeSlots(v)
 	ws.trace.chargeScan(vAcc, int(hi-lo))
 	for s := lo; s < hi; s++ {
@@ -53,7 +54,7 @@ func (ws *Workspace) CollabFilter(g *graph.Graph, q Query) (Result, *Trace) {
 
 	// Hop 2: co-purchased products, counting shared buyers; products
 	// are recorded in first-touch order in ws.orderB.
-	shared := &ws.scratch.mapB
+	shared := &ws.scratch.labels[1]
 	for _, u := range ws.orderA {
 		ulo, uhi := g.EdgeSlots(u)
 		uAcc, _ := buyerAcc.Get(u)

@@ -251,10 +251,12 @@ func TestChargeScanSaturates(t *testing.T) {
 
 // Dense kernels stay inside the zero-alloc budget once warmed: the
 // pull frontier view, candidate buffer, and the graph's in-CSR are all
-// built once and reused.
+// built once and reused. A one-query Batch.Run is the same path plus
+// validation, on the same budget.
 func TestDenseKernelAllocBudgets(t *testing.T) {
 	pl, _ := allocFixture(t)
 	ws := NewWorkspace(pl.NumVertices())
+	b := NewBatch(pl.NumVertices())
 	hub := hubAndLeaf(pl)[0]
 	for _, mode := range dirModes() {
 		mode := mode
@@ -263,6 +265,12 @@ func TestDenseKernelAllocBudgets(t *testing.T) {
 		})
 		checkAllocs(t, "BoundedSSSP/"+mode.name, maxAllocsSSSP, func() {
 			ws.BoundedSSSP(pl, Query{Op: OpSSSP, Start: hub, Target: hub ^ 1, Depth: 5, Dir: mode.cfg})
+		})
+		one := []Query{{Op: OpSSSP, Start: hub, Target: hub ^ 1, Depth: 5, Dir: mode.cfg}}
+		checkAllocs(t, "Batch.Run/1/"+mode.name, maxAllocsBatchOfOne, func() {
+			if _, _, _, err := b.Run(pl, one); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }

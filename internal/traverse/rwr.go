@@ -36,7 +36,7 @@ func (ws *Workspace) RandomWalk(g *graph.Graph, q Query) (Result, *Trace) {
 
 	start := q.Start
 	lastAcc := ws.touch(g, start)
-	counts := &ws.scratch.mapA
+	counts := &ws.scratch.labels[0]
 	cur := start
 	visited := 1
 

@@ -11,12 +11,15 @@
 // and the shared disk to obtain the traversal's cost, while the live
 // runtime charges the same accesses as it goes.
 //
-// The engines come in two forms. The Workspace kernels (Workspace.BFS
-// et al., dispatched by ExecuteIn) run against reusable epoch-stamped
-// dense scratch — O(1) reset, zero steady-state allocations — and are
-// what the executors drive. The *Reference kernels (reference.go) are
-// the original map-based implementations, retained as the executable
-// specification: differential tests pin the two bit-for-bit on every
+// The production engines run against reusable epoch-stamped dense
+// scratch — O(1) reset, zero steady-state allocations — and are what
+// the executors drive. BFS and SSSP have one implementation, the
+// lockstep Batch (batch.go): a single-source run through
+// Workspace.BFS / Workspace.BoundedSSSP (dispatched by ExecuteIn) is a
+// batch of one. CollabFilter and RandomWalk are Workspace kernels. The
+// *Reference kernels (reference.go) are the original map-based
+// implementations, retained as the executable specification:
+// differential tests pin every engine to them bit-for-bit on every
 // Result and Trace. The package-level one-shot functions (BFS,
 // Execute, ...) allocate a private Workspace per call.
 package traverse
@@ -172,9 +175,9 @@ func (t *Trace) touchVertex(g *graph.Graph, v graph.VertexID, seen map[graph.Ver
 // chargeScan attributes scanned-edge CPU work to access idx. The add
 // saturates at MaxInt32: a lockstep batch aggregates up to MaxBatch
 // queries' scans of one record into a single shared access, which can
-// exceed int32 on synthetic max-degree graphs. Both kernel generations
-// charge through this method, so saturation cannot break differential
-// equality.
+// exceed int32 on synthetic max-degree graphs. Every engine, reference
+// included, charges through this method, so saturation cannot break
+// differential equality.
 func (t *Trace) chargeScan(idx, edges int) {
 	sum := int64(t.Accesses[idx].ScannedEdges) + int64(edges)
 	if sum > math.MaxInt32 {

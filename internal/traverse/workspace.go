@@ -10,28 +10,74 @@ import (
 // share: epoch-stamped sets and maps (see graph.VertexSet/VertexMap)
 // replacing the per-query visited/frontier/shared hash maps. A
 // Scratch is reset at the start of every traversal (an O(1) epoch
-// bump), so it can be shared by any number of Workspaces whose kernel
-// executions never overlap — the discrete-event simulator exploits
-// this: its event loop runs one kernel at a time, so P units share a
-// single Scratch instead of carrying P copies of O(|V|) arrays.
+// bump), so it can be shared by any number of Workspaces — and their
+// Batches — whose kernel executions never overlap. The discrete-event
+// simulator exploits this: its event loop runs one kernel at a time,
+// so P units share a single Scratch instead of carrying P copies of
+// O(|V|) arrays.
+//
+// A Workspace grows only the structures a batch of one needs; the
+// ones marked "batch" below are grown by the first Batch.Run of two
+// or more queries.
 //
 // Not safe for concurrent use.
 type Scratch struct {
-	// seen deduplicates Trace.Touched (first-visit order) — all ops.
+	// seen deduplicates a trace's Touched (first-visit order): the
+	// lone query's in a batch of one and in CollabFilter/RandomWalk,
+	// the shared trace's in a batch of two or more.
 	seen graph.VertexSet
-	// mapA: BFS enqueued-set, SSSP side-A labels, RWR visit counts.
-	mapA graph.VertexMap
-	// mapB: SSSP side-B labels, CollabFilter shared-buyer counts.
-	mapB graph.VertexMap
-	// accA/accB: access-trace indices (SSSP per side; CollabFilter
-	// buyer record index) so scanned edges attribute to the right
-	// record access.
-	accA graph.VertexMap
-	accB graph.VertexMap
-	// posMap is the dense frontier view of a pull wave: expanding
-	// vertex → position in the wave's frontier order. Rebuilt (epoch
-	// bump + repopulate) per pull wave by BFS and SSSP.
-	posMap graph.VertexMap
+	// slotMaps is the first SSSP slot's labels and access indices;
+	// a batch of one also keeps its BFS enqueued set in labels[0], and
+	// CollabFilter and RandomWalk borrow the maps (see slotMaps).
+	slotMaps
+	// levelPos is the dense frontier view of a pull wave (expanding
+	// vertex → frontier position), rebuilt per pull wave by an epoch
+	// bump. Slots advance sequentially, so one map serves them all.
+	levelPos graph.VertexMap
+
+	// batched records that a run of two or more queries has grown the
+	// batch structures below.
+	batched bool
+	// enqMask/seenMask (batch) hold per-query BFS enqueued and touched
+	// bits (bit i = query slot i), replacing K separate dense sets.
+	enqMask  graph.VertexMap
+	seenMask graph.VertexMap
+	// waveLoaded (batch) dedups the shared trace within one wave: the
+	// first toucher of a record in a wave emits the shared access.
+	waveLoaded graph.VertexSet
+	// sharedAcc (batch) maps a vertex to its most recent shared access
+	// index, so scan work lands on the wave-load that brought the
+	// record in.
+	sharedAcc graph.VertexMap
+	// sssp holds the maps of SSSP slots 1, 2, ..., grown on demand to
+	// the number of SSSP queries in the largest batch seen.
+	sssp []*slotMaps
+}
+
+// slotMaps is the dense per-query state of one SSSP slot: per search
+// side (0 from Start, 1 from Target), hop labels and record-access
+// indices, so scanned edges attribute to the right record access. One
+// set per concurrent SSSP query is the price of keeping per-query
+// state private. CollabFilter borrows acc[0] (buyer → access index)
+// and labels[1] (shared-buyer counts); RandomWalk borrows labels[0]
+// (visit counts).
+type slotMaps struct {
+	labels [2]graph.VertexMap
+	acc    [2]graph.VertexMap
+}
+
+func (m *slotMaps) grow(n int) {
+	for s := range m.labels {
+		m.labels[s].Grow(n)
+		m.acc[s].Grow(n)
+	}
+}
+
+func (m *slotMaps) reset() {
+	for s := range m.labels {
+		m.labels[s].Clear()
+		m.acc[s].Clear()
+	}
 }
 
 // NewScratch returns a Scratch sized for graphs of numVertices.
@@ -43,26 +89,44 @@ func NewScratch(numVertices int) *Scratch {
 }
 
 func (s *Scratch) grow(n int) {
+	if n <= s.seen.Cap() && (!s.batched || n <= s.enqMask.Cap()) {
+		return // every structure in use already covers n
+	}
 	s.seen.Grow(n)
-	s.mapA.Grow(n)
-	s.mapB.Grow(n)
-	s.accA.Grow(n)
-	s.accB.Grow(n)
-	s.posMap.Grow(n)
+	s.slotMaps.grow(n)
+	s.levelPos.Grow(n)
+	if s.batched {
+		s.enqMask.Grow(n)
+		s.seenMask.Grow(n)
+		s.waveLoaded.Grow(n)
+		s.sharedAcc.Grow(n)
+	}
+	for _, m := range s.sssp {
+		m.grow(n)
+	}
 }
 
-func (s *Scratch) reset() {
-	s.seen.Clear()
-	s.mapA.Clear()
-	s.mapB.Clear()
-	s.accA.Clear()
-	s.accB.Clear()
-	s.posMap.Clear()
+// ssspMaps returns the j-th SSSP slot's maps, allocating on first use
+// and resetting them for a fresh run.
+func (s *Scratch) ssspMaps(j int) *slotMaps {
+	if j == 0 {
+		s.slotMaps.reset()
+		return &s.slotMaps
+	}
+	for len(s.sssp) < j {
+		m := &slotMaps{}
+		m.grow(s.seen.Cap())
+		s.sssp = append(s.sssp, m)
+	}
+	m := s.sssp[j-1]
+	m.reset()
+	return m
 }
 
 // Workspace is the reusable per-execution state of the traversal
-// kernels: a dense Scratch, reusable BFS/SSSP frontier slices,
-// insertion-ordered side lists, and pooled Trace and Result scratch. A steady-state traversal through a warmed Workspace
+// kernels: a dense Scratch, the Batch that runs BFS and SSSP as a
+// batch of one, insertion-ordered side lists, and pooled Trace and
+// Result scratch. A steady-state traversal through a warmed Workspace
 // performs zero heap allocations.
 //
 // Ownership contract: the *Trace returned by a Workspace kernel, and
@@ -77,24 +141,10 @@ func (s *Scratch) reset() {
 type Workspace struct {
 	scratch *Scratch
 
-	// Frontier double-buffers: the level-synchronous BFS uses the A
-	// pair as its current/next frontier; SSSP uses both pairs (one per
-	// search side).
-	frontA, nextA []graph.VertexID
-	frontB, nextB []graph.VertexID
-
-	// expanders is the wave's expanding-vertex list (frontier members
-	// that passed predicates, the visit cap, and the depth bound), in
-	// pop order; the frontier the expansion pass — push or pull —
-	// actually walks.
-	expanders []graph.VertexID
-
-	// cands collects a pull wave's bottom-up discoveries; candsOut and
-	// candCounts are the counting-scatter scratch that reorders them
-	// into push discovery order (see orderPullCands).
-	cands      []pullCand
-	candsOut   []pullCand
-	candCounts []int32
+	// batch runs BFS and BoundedSSSP (as a batch of one, query one[0])
+	// over scratch.
+	batch Batch
+	one   [1]Query
 
 	// dirStats counts the last execution's direction decisions.
 	dirStats DirStats
@@ -118,29 +168,69 @@ type Workspace struct {
 // NewWorkspace returns a Workspace with a private Scratch sized for
 // graphs of numVertices.
 func NewWorkspace(numVertices int) *Workspace {
-	return &Workspace{scratch: NewScratch(numVertices)}
+	return NewWorkspaceWithScratch(NewScratch(numVertices))
 }
 
 // NewWorkspaceWithScratch returns a Workspace borrowing a shared
 // Scratch. The caller must guarantee kernel executions across all
-// Workspaces sharing it never overlap (e.g. a single-threaded event
-// loop); each Workspace still keeps private frontier/trace/result
-// buffers, so outputs live independently of sibling executions.
+// Workspaces (and their Batches) sharing it never overlap (e.g. a
+// single-threaded event loop); each Workspace still keeps private
+// frontier/trace/result buffers, so outputs live independently of
+// sibling executions.
 func NewWorkspaceWithScratch(s *Scratch) *Workspace {
-	return &Workspace{scratch: s}
+	return &Workspace{scratch: s, batch: Batch{scratch: s}}
 }
 
-// begin readies the workspace for one traversal over g.
+// Batch returns the workspace's lockstep engine. It runs over the
+// workspace's Scratch and owns the buffers BFS and BoundedSSSP return,
+// so its Run outputs and the workspace's kernel outputs share one
+// ownership window: valid until the next kernel call or Run on either.
+func (ws *Workspace) Batch() *Batch { return &ws.batch }
+
+// BFS runs the bounded-depth breadth-first search (see the package
+// function BFS) as a batch of one.
+//
+//vet:hotpath
+func (ws *Workspace) BFS(g *graph.Graph, q Query) (Result, *Trace) {
+	ws.one[0] = q
+	ws.one[0].Op = OpBFS
+	return ws.single(g)
+}
+
+// BoundedSSSP runs the bounded bidirectional search (see the package
+// function BoundedSSSP) as a batch of one.
+//
+//vet:hotpath
+func (ws *Workspace) BoundedSSSP(g *graph.Graph, q Query) (Result, *Trace) {
+	ws.one[0] = q
+	ws.one[0].Op = OpSSSP
+	return ws.single(g)
+}
+
+// single runs ws.one through the workspace's Batch as a batch of one.
+// The query is trusted: ExecuteIn has validated it.
+//
+//vet:hotpath
+func (ws *Workspace) single(g *graph.Graph) (Result, *Trace) {
+	b := &ws.batch
+	b.exec(g, ws.one[:])
+	ws.dirStats = b.slots[0].stats
+	return b.results[0], &b.traces[0]
+}
+
+// begin readies the workspace for one CollabFilter or RandomWalk run
+// over g.
 //
 //vet:hotpath
 func (ws *Workspace) begin(g *graph.Graph) {
-	ws.scratch.grow(g.NumVertices())
-	ws.scratch.reset()
+	s := ws.scratch
+	s.grow(g.NumVertices())
+	s.seen.Clear()
+	s.slotMaps.reset()
 	ws.trace.Accesses = ws.trace.Accesses[:0]
 	ws.trace.Touched = ws.trace.Touched[:0]
 	ws.orderA = ws.orderA[:0]
 	ws.orderB = ws.orderB[:0]
-	ws.expanders = ws.expanders[:0]
 	ws.dirStats = DirStats{}
 }
 
