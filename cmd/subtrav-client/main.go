@@ -51,7 +51,7 @@ func main() {
 		retryBase   = flag.Duration("retry-base", time.Millisecond, "base delay of the jittered exponential backoff")
 
 		trace    = flag.Int("trace", 0, "dump the last N trace spans from the server and exit (0 = run queries)")
-		traceCSV = flag.Bool("trace-csv", false, "with -trace, emit CSV (schema shared with sim.CSVTracer tooling)")
+		traceCSV = flag.Bool("trace-csv", false, "with -trace, emit CSV (obs.SpanCSVHeader, the span schema the simulator also emits)")
 		watch    = flag.Duration("watch", 0, "re-poll Stats at this interval, one line per unit, until interrupted (0 = run queries)")
 		watchN   = flag.Int("watch-n", 0, "with -watch, stop after this many refreshes (0 = until interrupted)")
 	)

@@ -115,9 +115,9 @@ type Config struct {
 	// advance them in lockstep, loading each wave-shared record once
 	// (traverse.Batch). Per-query results stay identical to
 	// independent execution. At most traverse.MaxBatch; 0 or 1
-	// disables. Each unit owns a private batch executor, so memory
-	// grows by O(BatchTraversals·|V|) per unit in the worst (SSSP)
-	// case.
+	// disables. Memory is one traversal Workspace per unit either way;
+	// its batch structures grow on the unit's first run of two or more
+	// queries, by O(BatchTraversals·|V|) in the worst (SSSP) case.
 	BatchTraversals int
 
 	// Direction is the runtime's default push/pull policy for BFS/SSSP
@@ -278,10 +278,6 @@ type Runtime struct {
 
 	units    []*liveUnit
 	diskSlot chan struct{}
-	// wsPool lends traversal workspaces to workers, one per executing
-	// query, so steady-state traversals reuse dense scratch instead of
-	// allocating per-query maps.
-	wsPool *traverse.Pool
 
 	// fetch is the cross-unit single-flight table (nil unless
 	// Config.CoalesceReads). Shared fetches run under fetchCtx — a
@@ -315,16 +311,18 @@ type Runtime struct {
 
 // liveUnit is one worker goroutine's state.
 type liveUnit struct {
-	id     int32
-	buffer *cache.Cache // guarded by the worker goroutine only
-	queue  chan *task
+	id    int32
+	queue chan *task
 
 	queued atomic.Int32
 	busy   atomic.Bool
 
-	// batch is the unit's lockstep multi-query executor, nil unless
-	// Config.BatchTraversals enables batching. Worker goroutine only.
-	batch *traverse.Batch
+	// exec is the unit's execution core: its own traversal Workspace
+	// and private buffer. members and queries are run's scratch.
+	// Worker goroutine only.
+	exec    *sim.UnitExec
+	members []*task
+	queries []traverse.Query
 
 	// cacheCounters mirror the buffer's activity atomically (via
 	// cache.Sinks) so Stats and /metrics can read them while hot.
@@ -351,7 +349,7 @@ func (u *liveUnit) CompletedSince(t int64) int {
 }
 
 // MemoryBudget implements affinity.UnitView.
-func (u *liveUnit) MemoryBudget() int64 { return u.buffer.Budget() }
+func (u *liveUnit) MemoryBudget() int64 { return u.exec.Buffer().Budget() }
 
 // New starts a runtime: NumUnits worker goroutines plus a dispatcher.
 // The scheduler's affinity scorer (if any) must be wired to this
@@ -404,7 +402,6 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 		tenants:  make(map[string]*tenantState),
 		fallback: sched.NewLeastLoaded(),
 		diskSlot: make(chan struct{}, maxInt(cfg.Cost.Disk.Channels, 1)),
-		wsPool:   traverse.NewPool(g.NumVertices()),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 	}
@@ -420,15 +417,10 @@ func newWithSigs(g *graph.Graph, cfg Config, scheduler sched.Scheduler, sigs *si
 		r.fetch.SetMetrics(r.obs.coalescedReads, r.obs.sfWaiters)
 	}
 	for i := 0; i < cfg.NumUnits; i++ {
-		u := &liveUnit{
-			id:     int32(i),
-			buffer: cache.New(cfg.MemoryPerUnit),
-			queue:  make(chan *task, cfg.QueueCap),
-		}
-		if cfg.BatchTraversals > 1 {
-			u.batch = traverse.NewBatch(g.NumVertices())
-		}
-		u.buffer.SetSinks(r.obs.wireUnit(u))
+		u := &liveUnit{id: int32(i), queue: make(chan *task, cfg.QueueCap)}
+		buffer := cache.New(cfg.MemoryPerUnit)
+		buffer.SetSinks(r.obs.wireUnit(u))
+		u.exec = sim.NewUnitExec(g, traverse.NewWorkspace(g.NumVertices()), buffer, cfg.Cost, 1)
 		r.units = append(r.units, u)
 		r.wg.Add(1)
 		go r.worker(u)
@@ -941,9 +933,9 @@ func (r *Runtime) enqueueLeastLoaded(t *task) bool {
 	return false
 }
 
-// worker executes tasks on one unit, paying scaled access costs. With
-// batching enabled it drains runs of consecutive batchable queries off
-// the queue and advances them in lockstep.
+// worker executes tasks on one unit. With batching enabled it drains
+// runs of consecutive batchable queries off the queue and advances
+// them in lockstep.
 func (r *Runtime) worker(u *liveUnit) {
 	defer r.wg.Done()
 	for t := range u.queue {
@@ -973,35 +965,24 @@ func (r *Runtime) worker(u *liveUnit) {
 			continue
 		}
 
-		if u.batch != nil && traverse.Batchable(t.query.Op) {
-			members, carry := r.drainBatch(u, t)
-			r.runBatch(u, members)
-			if carry != nil {
-				r.runOne(u, carry)
-			}
-			continue
+		u.members = append(u.members[:0], t)
+		var carry *task
+		if r.cfg.BatchTraversals > 1 && traverse.Batchable(t.query.Op) {
+			u.members, carry = r.drainBatch(u, u.members)
 		}
-		r.runOne(u, t)
+		r.run(u, u.members)
+		if carry != nil {
+			u.members = append(u.members[:0], carry)
+			r.run(u, u.members)
+		}
 	}
-}
-
-// runOne executes a single task and resolves it.
-func (r *Runtime) runOne(u *liveUnit, t *task) {
-	u.busy.Store(true)
-	t.started = time.Now()
-	if t.span != nil {
-		t.span.StartNanos = t.started.UnixNano()
-	}
-	resp := r.execute(u, t)
-	u.busy.Store(false)
-	r.resolve(u, t, resp)
 }
 
 // resolve classifies a response, records the unit completion for
 // non-timeouts, and finishes the task.
 func (r *Runtime) resolve(u *liveUnit, t *task, resp Response) {
 	o := outcomeCompleted
-	if resp.Err != nil && (errors.Is(resp.Err, context.DeadlineExceeded) || errors.Is(resp.Err, context.Canceled)) {
+	if resp.Err != nil && isCtxErr(resp.Err) {
 		o = outcomeTimedOut
 	} else {
 		now := time.Now().UnixNano()
@@ -1012,12 +993,11 @@ func (r *Runtime) resolve(u *liveUnit, t *task, resp Response) {
 	r.finish(t, resp, o)
 }
 
-// drainBatch pulls up to Config.BatchTraversals-1 more batchable tasks
-// off u's queue without blocking, starting from first. A non-batchable
-// task ends the run and is returned as carry for ordinary execution
-// (FIFO order is preserved: it queued after every member).
-func (r *Runtime) drainBatch(u *liveUnit, first *task) (members []*task, carry *task) {
-	members = append(members, first)
+// drainBatch fills members up to Config.BatchTraversals with the
+// batchable tasks queued on u, without blocking. A non-batchable task
+// ends the run and is returned as carry for ordinary execution (FIFO
+// order is preserved: it queued after every member).
+func (r *Runtime) drainBatch(u *liveUnit, members []*task) ([]*task, *task) {
 	for len(members) < r.cfg.BatchTraversals {
 		select {
 		case t, ok := <-u.queue:
@@ -1036,15 +1016,20 @@ func (r *Runtime) drainBatch(u *liveUnit, first *task) (members []*task, carry *
 	return members, nil
 }
 
-// runBatch advances members' traversals in lockstep (traverse.Batch),
-// charging the batch's shared wave trace once — each wave-shared
-// record is loaded one time for the whole batch — and resolves every
-// member. Per-member results are identical to independent execution.
-// A member whose context expires mid-charge resolves immediately as
-// timed out while the rest of the batch keeps running; disk charging
-// is therefore bound to the runtime's fetch context, not to any single
-// member's.
-func (r *Runtime) runBatch(u *liveUnit, members []*task) {
+// run executes members — one query, or a lockstep batch of batchable
+// queries — on u's execution core (sim.UnitExec, the simulator's own)
+// and resolves every member. The core runs the traversal, then walks
+// its trace (a batch's shared wave trace, each wave-shared record
+// loaded once): buffer hits accumulate a deferred sleep, and each miss
+// is fetched under a disk slot for the scaled transfer time (see
+// fetchMiss). A lone query fetches and sleeps under its own context,
+// so an expired deadline frees the unit within one access-service
+// time; a batch does so under the runtime's fetch context, so one
+// member's cancellation never aborts its peers' work. A member whose
+// context expires mid-charge resolves at once as timed out while the
+// rest keep running. Per-member results are identical to independent
+// execution.
+func (r *Runtime) run(u *liveUnit, members []*task) {
 	// Members already expired resolve without consuming execution.
 	live := members[:0]
 	for _, t := range members {
@@ -1061,199 +1046,95 @@ func (r *Runtime) runBatch(u *liveUnit, members []*task) {
 	if len(live) == 0 {
 		return
 	}
-	if len(live) == 1 {
-		r.runOne(u, live[0])
-		return
-	}
 
 	u.busy.Store(true)
-	defer u.busy.Store(false)
 	started := time.Now()
-	queries := make([]traverse.Query, len(live))
-	for i, t := range live {
+	u.queries = u.queries[:0]
+	for _, t := range live {
 		t.started = started
 		if t.span != nil {
 			t.span.StartNanos = started.UnixNano()
 		}
-		queries[i] = t.query
+		u.queries = append(u.queries, t.query)
 	}
-	results, traces, shared, err := u.batch.Run(r.g, queries)
-	if err != nil {
-		for _, t := range live {
-			r.resolve(u, t, Response{Unit: u.id, Err: err, Wait: started.Sub(t.submit)})
+	results, traces, fatal := u.exec.Start(u.queries)
+	if fatal == nil {
+		for i, t := range live {
+			r.obs.recordDirStats(t, u.exec.DirStats(i))
 		}
-		return
-	}
-	for i, t := range live {
-		r.obs.recordDirStats(t, u.batch.DirStats(i))
 	}
 
-	cost := &r.cfg.Cost
-	var inlineNanos int64
-	var hits, misses int
-	var bytesRead, diskWaitNanos int64
-	var fatal error
-	alive := len(live)
-	resolved := make([]bool, len(live))
-	// dropExpired resolves members whose deadline passed mid-charge;
-	// the survivors keep the batch going.
-	dropExpired := func() {
+	ctx := r.fetchCtx
+	if len(live) == 1 {
+		ctx = live[0].ctx
+	}
+	var inlineNanos, diskWaitNanos int64
+	// end resolves member i with err, or with its result when err is
+	// nil; its span carries the charge made so far — the whole
+	// batch's, the disk work really done on its behalf.
+	end := func(i int, err error) {
+		t := live[i]
+		live[i] = nil
+		if s := t.span; s != nil {
+			s.CacheHits, s.CacheMisses, s.BytesRead = u.exec.Charged()
+			s.DiskWaitNanos = diskWaitNanos
+		}
+		now := time.Now()
+		resp := Response{Unit: u.id, Wait: started.Sub(t.submit), Exec: now.Sub(started)}
+		switch {
+		case err == nil:
+			r.sigs.RecordAll(traces[i].Touched, u.id, now.UnixNano())
+			resp.Result = results[i].Clone()
+		case isCtxErr(err):
+			resp.Err = fmt.Errorf("live: cancelled mid-traversal: %w", err)
+		default:
+			resp.Err = err
+		}
+		r.resolve(u, t, resp)
+	}
+	for alive := len(live); fatal == nil && alive > 0; {
+		// Members whose deadline passed resolve now; the survivors keep
+		// the batch going.
 		for i, t := range live {
-			if resolved[i] {
+			if t == nil {
 				continue
 			}
 			if err := t.ctx.Err(); err != nil {
-				resolved[i] = true
+				end(i, err)
 				alive--
-				r.finish(t, Response{
-					Unit: u.id,
-					Err:  fmt.Errorf("live: cancelled mid-traversal: %w", err),
-					Wait: started.Sub(t.submit),
-					Exec: time.Since(started),
-				}, outcomeTimedOut)
 			}
 		}
-	}
-	for _, a := range shared.Accesses {
-		dropExpired()
 		if alive == 0 {
 			break
 		}
-		key := liveKey(a)
-		if u.buffer.Hit(key, int64(a.Bytes)) {
-			hits++
-			inlineNanos += cost.MemHitNanos + liveCPU(cost, a)
-			continue
+		hitNanos, m, ok := u.exec.NextMiss()
+		inlineNanos += hitNanos
+		if !ok {
+			// Replay done: pay the deferred hit and compute time.
+			fatal = r.sleepScaledNoSlot(ctx, inlineNanos, 0)
+			break
 		}
-		slotWait, err := r.fetchMiss(r.fetchCtx, key, int64(a.Bytes))
+		// With coalescing on, this may join another unit's in-flight
+		// fetch of the same record instead of paying its own.
+		slotWait, err := r.fetchMiss(ctx, m.Key, m.Bytes)
 		diskWaitNanos += slotWait.Nanoseconds()
 		if err != nil {
 			fatal = err
 			break
 		}
-		u.buffer.Access(key, int64(a.Bytes))
-		misses++
-		bytesRead += int64(a.Bytes)
-		inlineNanos += liveCPU(cost, a) + int64(cost.CPUMissByteNanos*float64(a.Bytes))
+		inlineNanos += u.exec.Loaded()
 	}
-	if fatal == nil && alive > 0 {
-		fatal = r.sleepScaledNoSlot(r.fetchCtx, inlineNanos, 0)
-	}
-
-	now := time.Now()
+	u.busy.Store(false)
 	for i, t := range live {
-		if resolved[i] {
-			continue
+		if t != nil {
+			end(i, fatal)
 		}
-		// The batch's shared charge is the execution detail of every
-		// member: the disk work really done on their behalf.
-		if s := t.span; s != nil {
-			s.CacheHits = hits
-			s.CacheMisses = misses
-			s.BytesRead = bytesRead
-			s.DiskWaitNanos = diskWaitNanos
-		}
-		if fatal != nil {
-			r.resolve(u, t, Response{
-				Unit: u.id,
-				Err:  fmt.Errorf("live: batch charge failed: %w", fatal),
-				Wait: started.Sub(t.submit),
-				Exec: now.Sub(started),
-			})
-			continue
-		}
-		r.sigs.RecordAll(traces[i].Touched, u.id, now.UnixNano())
-		r.resolve(u, t, Response{
-			Result: results[i].Clone(),
-			Unit:   u.id,
-			Wait:   started.Sub(t.submit),
-			Exec:   now.Sub(started),
-		})
 	}
 }
 
-// execute runs the traversal and charges its access trace: buffer hits
-// accumulate a deferred sleep; misses hold a disk slot for the scaled
-// transfer time. Cancellation is observed between accesses and inside
-// every scaled sleep, so an expired deadline frees the unit within one
-// access-service time.
-func (r *Runtime) execute(u *liveUnit, t *task) Response {
-	// The workspace is returned to the pool when this execution's trace
-	// has been fully charged; the Result is cloned before it escapes
-	// into the Response, which outlives the checkout.
-	ws := r.wsPool.Get()
-	defer r.wsPool.Put(ws)
-	result, trace, err := traverse.ExecuteIn(ws, r.g, t.query)
-	if err != nil {
-		return Response{Unit: u.id, Err: err, Wait: t.started.Sub(t.submit)}
-	}
-	r.obs.recordDirStats(t, ws.DirStats())
-	cancelled := func(err error) Response {
-		return Response{
-			Unit: u.id,
-			Err:  fmt.Errorf("live: cancelled mid-traversal: %w", err),
-			Wait: t.started.Sub(t.submit),
-			Exec: time.Since(t.started),
-		}
-	}
-	cost := &r.cfg.Cost
-	var inlineNanos int64
-	var hits, misses int
-	var bytesRead, diskWaitNanos int64
-	// flushSpan records execution detail gathered so far; called on
-	// every exit path so cancelled and failed spans keep their counts.
-	flushSpan := func() {
-		if s := t.span; s != nil {
-			s.CacheHits = hits
-			s.CacheMisses = misses
-			s.BytesRead = bytesRead
-			s.DiskWaitNanos = diskWaitNanos
-		}
-	}
-	defer flushSpan()
-	for _, a := range trace.Accesses {
-		if err := t.ctx.Err(); err != nil {
-			return cancelled(err)
-		}
-		key := liveKey(a)
-		if u.buffer.Hit(key, int64(a.Bytes)) {
-			hits++
-			inlineNanos += cost.MemHitNanos + liveCPU(cost, a)
-			continue
-		}
-		// Miss: one shared-disk fetch (see fetchMiss). With coalescing
-		// on, this may join another unit's in-flight fetch of the same
-		// record instead of paying its own.
-		slotWait, err := r.fetchMiss(t.ctx, key, int64(a.Bytes))
-		diskWaitNanos += slotWait.Nanoseconds()
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return cancelled(err)
-			}
-			return Response{
-				Unit: u.id,
-				Err:  err,
-				Wait: t.started.Sub(t.submit),
-				Exec: time.Since(t.started),
-			}
-		}
-		u.buffer.Access(key, int64(a.Bytes))
-		misses++
-		bytesRead += int64(a.Bytes)
-		inlineNanos += liveCPU(cost, a) + int64(cost.CPUMissByteNanos*float64(a.Bytes))
-	}
-	if err := r.sleepScaledNoSlot(t.ctx, inlineNanos, 0); err != nil {
-		return cancelled(err)
-	}
-
-	now := time.Now()
-	r.sigs.RecordAll(trace.Touched, u.id, now.UnixNano())
-	return Response{
-		Result: result.Clone(),
-		Unit:   u.id,
-		Wait:   t.started.Sub(t.submit),
-		Exec:   now.Sub(t.started),
-	}
+// isCtxErr reports a cancellation or deadline error.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 // fetchMiss pays for one missed record. Without coalescing it is a
@@ -1333,14 +1214,6 @@ func (r *Runtime) sleepScaledNoSlot(ctx context.Context, virtualNanos int64, ext
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-func liveCPU(cost *sim.CostModel, a traverse.Access) int64 {
-	return cost.CPUVertexNanos + int64(a.ScannedEdges)*cost.CPUEdgeNanos
-}
-
-func liveKey(a traverse.Access) cache.Key {
-	return cache.VertexKey(int32(a.Vertex))
 }
 
 func maxInt(a, b int) int {

@@ -18,7 +18,8 @@ const (
 // Span is one query's trace through the system: submit →
 // admit/reject → schedule → queue wait → execute → resolve. The same
 // schema serves the live runtime (wall-clock nanos) and the simulator
-// (virtual nanos via SimTracer), so both feed the same tooling.
+// (virtual nanos, via sim.Cluster.SetTrace), so both feed the same
+// tooling; the simulator leaves the scheduling detail zero.
 //
 // Zero-valued fields mean "not reached": a rejected span has no
 // schedule or execution phase; a query dropped before dispatch has
@@ -91,10 +92,10 @@ type Span struct {
 	Err       string
 }
 
-// SpanCSVHeader is the header row of the span CSV rendering. The
-// leading columns (event-free task/unit/time triple) line up with the
-// simulator's CSVTracer schema so live and sim traces can be joined
-// on task and unit.
+// SpanCSVHeader is the header row of the span CSV rendering, shared
+// by live and simulated spans, so the two can be joined on task and
+// compared column for column (cache_hits, cache_misses, bytes_read,
+// wait_ns, exec_ns, ...).
 const SpanCSVHeader = "task,unit,op,tenant,start,submit_ns,schedule_ns,start_ns,end_ns," +
 	"affinity,imbalance,preferred,queue_len,auction_rounds,degraded,fell_back,empty_row," +
 	"cache_hits,cache_misses,bytes_read,disk_wait_ns,push_waves,pull_waves,dir_switches," +

@@ -92,6 +92,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	var encMu sync.Mutex
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
+	// Queries run under a per-connection context, cancelled when the
+	// read loop exits: a client that disconnects stops its queued and
+	// executing queries, which the runtime resolves as timed out.
+	// Deferred after inflight.Wait, so it runs first and the handlers
+	// return at once instead of waiting their queries out.
+	connCtx, cancelConn := context.WithCancel(context.Background())
+	defer cancelConn()
 
 	send := func(r Reply) {
 		encMu.Lock()
@@ -144,7 +151,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			send(Reply{ID: req.ID, Code: CodeError, Err: err.Error()})
 			continue
 		}
-		ctx := context.Background()
+		ctx := connCtx
 		var cancel context.CancelFunc
 		if req.TimeoutNanos > 0 {
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutNanos))
@@ -175,9 +182,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			select {
 			case resp = <-ch:
 			case <-ctx.Done():
-				// Deadline hit while the query is queued or executing:
-				// answer the client now; the runtime resolves (and
-				// counts) the abandoned query when it reaches it.
+				// Deadline hit, or the client gone, while the query is
+				// queued or executing: answer now; the runtime resolves
+				// (and counts) the abandoned query when it reaches it.
 				send(Reply{ID: id, Code: CodeDeadline, Err: ctx.Err().Error()})
 				return
 			}

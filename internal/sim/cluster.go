@@ -6,6 +6,7 @@ import (
 
 	"subtrav/internal/cache"
 	"subtrav/internal/graph"
+	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/signature"
 	"subtrav/internal/storage"
@@ -29,8 +30,10 @@ type Cluster struct {
 	pending []*sched.Task
 	// sched is the active scheduler for the duration of Run.
 	sched sched.Scheduler
-	// tracer observes task lifecycle events (nil: disabled).
-	tracer Tracer
+	// ring receives one span per finished task (nil: disabled).
+	ring *obs.Ring
+	// queries is startNext's member-query scratch.
+	queries []traverse.Query
 
 	// OnComplete, when set, receives every finished task and its
 	// semantic result (used by examples and correctness tests).
@@ -64,27 +67,23 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 	// All units borrow one dense traversal scratch: the event loop
 	// executes kernels one at a time, and sharing keeps cluster memory
 	// at O(|V|) instead of O(P·|V|) (the paper-scale graph is 11.3M
-	// vertices). When lockstep batching is on, each unit's Batch runs
+	// vertices). When lockstep batching is on, each unit's batches run
 	// over the same scratch (its per-slot SSSP maps are the O(K·|V|)
 	// part of the bill). Traces and results live in per-unit buffers.
 	scratch := traverse.NewScratch(g.NumVertices())
 	for i := 0; i < cfg.NumUnits; i++ {
-		speed := 1.0
-		if cfg.SpeedFactors != nil {
-			speed = cfg.SpeedFactors[i]
-		}
-		u := &unit{
-			id:     int32(i),
-			buffer: cache.New(cfg.MemoryPerUnit),
-			ws:     traverse.NewWorkspaceWithScratch(scratch),
-			speed:  speed,
-		}
-		if cfg.BatchTraversals > 1 {
-			u.batch = u.ws.Batch()
-		}
-		c.units = append(c.units, u)
+		c.units = append(c.units, &unit{id: int32(i), exec: c.newExec(i, traverse.NewWorkspaceWithScratch(scratch))})
 	}
 	return c, nil
+}
+
+// newExec builds unit i's execution core over ws with a fresh buffer.
+func (c *Cluster) newExec(i int, ws *traverse.Workspace) *UnitExec {
+	speed := 1.0
+	if c.cfg.SpeedFactors != nil {
+		speed = c.cfg.SpeedFactors[i]
+	}
+	return NewUnitExec(c.g, ws, cache.New(c.cfg.MemoryPerUnit), c.cfg.Cost, speed)
 }
 
 // Graph returns the cluster's graph.
@@ -112,8 +111,8 @@ func (c *Cluster) Reset() {
 	c.clock.Reset() // same clock object: scorers wired to it stay valid
 	c.sigs.Reset()
 	c.disk.Reset()
-	for _, u := range c.units {
-		u.buffer = cache.New(c.cfg.MemoryPerUnit)
+	for i, u := range c.units {
+		u.exec = c.newExec(i, u.exec.ws)
 		u.queue = nil
 		u.cur = nil
 		u.completions = nil
@@ -202,10 +201,7 @@ func (c *Cluster) dispatch(s sched.Scheduler, now int64) {
 					s.Name(), t.ID, pick, len(c.units)))
 			}
 			u := c.units[pick]
-			u.queue = append(u.queue, &taskState{task: t})
-			if c.tracer != nil {
-				c.tracer.TaskDispatched(t.ID, u.id, now)
-			}
+			u.queue = append(u.queue, &taskState{task: t, scheduled: now})
 			if u.cur == nil {
 				c.startNext(u, now)
 			}
@@ -224,147 +220,99 @@ func (c *Cluster) hasDispatchRoom() bool {
 
 // startNext pops the unit's FCFS queue — plus, when lockstep batching
 // is on, the contiguous run of batchable queries behind a batchable
-// head — and begins trace replay.
+// head — runs the members' traversals and begins trace replay.
 func (c *Cluster) startNext(u *unit, now int64) {
 	ts := u.queue[0]
 	u.queue = u.queue[1:]
 	ex := &execState{members: []*taskState{ts}, start: now}
-	if b := c.cfg.BatchTraversals; b > 1 && u.batch != nil && traverse.Batchable(ts.task.Query.Op) {
+	if b := c.cfg.BatchTraversals; b > 1 && traverse.Batchable(ts.task.Query.Op) {
 		for len(ex.members) < b && len(u.queue) > 0 && traverse.Batchable(u.queue[0].task.Query.Op) {
 			ex.members = append(ex.members, u.queue[0])
 			u.queue = u.queue[1:]
 		}
 	}
 	u.cur = ex
-	u.lastStart = now
-	if c.tracer != nil {
-		for _, m := range ex.members {
-			c.tracer.TaskStarted(m.task.ID, u.id, now)
-		}
-	}
 
 	// The set of records a traversal touches is timing-independent
 	// (see package traverse), so the traces are computed here and then
 	// replayed against the buffer and shared disk for their cost. The
-	// unit's workspace (and batch executor) is recycled per start: by
-	// the time this runs, the unit's previous traces and results were
-	// fully consumed by complete.
-	if len(ex.members) == 1 {
-		result, trace, err := traverse.ExecuteIn(u.ws, c.g, ts.task.Query)
-		if err != nil {
-			// Queries are validated at Run entry; an error here is a bug.
-			panic(fmt.Sprintf("sim: traversal failed mid-run: %v", err))
-		}
+	// unit's workspace is recycled per start: by the time this runs,
+	// the unit's previous traces and results were fully consumed by
+	// complete.
+	c.queries = c.queries[:0]
+	for _, m := range ex.members {
+		c.queries = append(c.queries, m.task.Query)
+	}
+	results, traces, err := u.exec.Start(c.queries)
+	if err != nil {
+		// Queries are validated at Run entry; an error here is a bug.
+		panic(fmt.Sprintf("sim: traversal failed mid-run: %v", err))
+	}
+	for i, m := range ex.members {
+		m.result = results[i]
 		if c.OnComplete != nil {
 			// The callback may retain the result past this unit's next
 			// task, which recycles the workspace-owned slices; detach
 			// them.
-			result = result.Clone()
+			m.result = m.result.Clone()
 		}
-		ts.result = result
-		ts.trace = trace
-		ex.replay = trace
-	} else {
-		queries := make([]traverse.Query, len(ex.members))
-		for i, m := range ex.members {
-			queries[i] = m.task.Query
-		}
-		results, traces, shared, err := u.batch.Run(c.g, queries)
-		if err != nil {
-			panic(fmt.Sprintf("sim: batched traversal failed mid-run: %v", err))
-		}
-		for i, m := range ex.members {
-			res := results[i]
-			if c.OnComplete != nil {
-				res = res.Clone()
-			}
-			m.result = res
-			m.trace = traces[i]
-		}
-		// The shared wave trace is what the batch actually pays for:
-		// each wave-shared record loaded once.
-		ex.replay = shared
+		m.trace = traces[i]
 	}
 	c.step(u, now)
 }
 
-// step replays the unit's current trace from its cursor. Buffer hits
-// are consumed inline (they touch no shared resource); the first miss
-// at the current virtual instant issues one shared-disk read and
-// yields, so disk requests across units are serviced in causal order.
+// step advances the unit's replay. Buffer hits are consumed inline
+// (they touch no shared resource); once they have consumed virtual
+// time the unit realigns, and a miss at the current virtual instant
+// issues one shared-disk read and yields, so disk requests across
+// units are serviced in causal order.
 func (c *Cluster) step(u *unit, now int64) {
-	ex := u.cur
-	cost := &c.cfg.Cost
-	tl := now
-	for ex.pos < len(ex.replay.Accesses) {
-		a := ex.replay.Accesses[ex.pos]
-		key := accessKey(a)
-		if u.buffer.Hit(key, int64(a.Bytes)) {
-			tl += int64(float64(cost.MemHitNanos+cpuCost(cost, a)) * u.speed)
-			ex.pos++
-			continue
-		}
-		if tl > now {
-			// Hits consumed virtual time; realign before touching the
-			// shared disk so requests are issued in global time order.
-			c.push(event{time: tl, kind: evStep, unit: u.id})
-			return
-		}
-		var done int64
-		if c.cfg.CoalesceReads {
-			// Join an in-flight read of the same record when one
-			// exists; a coalesced miss pays the leader's completion
-			// time but issues no request of its own.
-			done, _ = c.disk.ReadShared(now, int64(a.Bytes), c.g.Partition(a.Vertex), key)
-		} else {
-			done = c.disk.ReadPart(now, int64(a.Bytes), c.g.Partition(a.Vertex))
-		}
-		ex.misses++
-		u.buffer.Access(key, int64(a.Bytes))
-		// The paper updates L(v) as vertices are visited, so a miss
-		// signs the vertex immediately — concurrent scheduling rounds
-		// can already see the partially-built affinity.
-		c.sigs.Record(a.Vertex, u.id, now)
-		ex.pos++
-		localWork := float64(cpuCost(cost, a)) + cost.CPUMissByteNanos*float64(a.Bytes)
-		next := done + int64(localWork*u.speed)
-		c.push(event{time: next, kind: evStep, unit: u.id})
+	hitNanos, m, ok := u.exec.NextMiss()
+	if hitNanos > 0 {
+		// Realign before touching the shared disk so requests are
+		// issued in global time order; the pending miss is re-probed
+		// then.
+		c.push(event{time: now + hitNanos, kind: evStep, unit: u.id})
 		return
 	}
-	if tl > now {
-		c.push(event{time: tl, kind: evStep, unit: u.id})
+	if !ok {
+		c.complete(u, now)
 		return
 	}
-	c.complete(u, now)
-}
-
-// cpuCost charges the record processing plus the adjacency entries
-// scanned while holding it.
-func cpuCost(cost *CostModel, a traverse.Access) int64 {
-	return cost.CPUVertexNanos + int64(a.ScannedEdges)*cost.CPUEdgeNanos
-}
-
-func accessKey(a traverse.Access) cache.Key {
-	return cache.VertexKey(int32(a.Vertex))
+	var done int64
+	if c.cfg.CoalesceReads {
+		// Join an in-flight read of the same record when one exists; a
+		// coalesced miss pays the leader's completion time but issues
+		// no request of its own.
+		done, _ = c.disk.ReadShared(now, m.Bytes, c.g.Partition(m.Vertex), m.Key)
+	} else {
+		done = c.disk.ReadPart(now, m.Bytes, c.g.Partition(m.Vertex))
+	}
+	work := u.exec.Loaded()
+	// The paper updates L(v) as vertices are visited, so a miss signs
+	// the vertex immediately — concurrent scheduling rounds can already
+	// see the partially-built affinity.
+	c.sigs.Record(m.Vertex, u.id, now)
+	c.push(event{time: done + work, kind: evStep, unit: u.id})
 }
 
 // complete finishes every member of the unit's current batch: visit
 // signatures are recorded for each member's touched vertices
 // (L(v) ← L(v) ∪ (t, p)), run statistics are updated per member, and
-// the next queued task starts. A batch's disk-miss count is reported
-// to the tracer on each member (the batch paid it jointly).
+// the next queued task starts. Each member's span carries the batch's
+// whole charge (the batch paid it jointly).
 func (c *Cluster) complete(u *unit, now int64) {
 	ex := u.cur
 	u.cur = nil
-	for _, ts := range ex.members {
+	for i, ts := range ex.members {
 		c.sigs.RecordAll(ts.trace.Touched, u.id, now)
 		u.completions = append(u.completions, now)
 		c.completed++
 		c.visitedTotal += int64(ts.result.Visited)
 		c.latencies = append(c.latencies, now-ts.task.Arrival)
 		c.execNanos = append(c.execNanos, now-ex.start)
-		if c.tracer != nil {
-			c.tracer.TaskCompleted(ts.task.ID, u.id, now, ex.misses)
+		if c.ring != nil {
+			c.ring.Append(c.span(u, ex, i, now))
 		}
 		if c.OnComplete != nil {
 			c.OnComplete(ts.task, ts.result)

@@ -1,19 +1,20 @@
 package sim
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
 	"subtrav/internal/graphgen"
+	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/traverse"
 )
 
 // Regression for the CollabFilter map-range bug: two identical seeded
 // runs through the full simulator — traversal kernels, trace replay,
-// caches, shared disk, visit signatures — must produce byte-identical
-// event streams and identical semantic results. Before the kernels
+// caches, shared disk, visit signatures — must produce identical span
+// streams (timestamps, per-task buffer hits, misses and bytes read)
+// and identical semantic results. Before the kernels
 // iterated insertion-ordered side lists, hop-2 map-range order leaked
 // into trace order, so cache evictions, miss counts, and completion
 // times drifted between runs of the same workload.
@@ -41,7 +42,7 @@ func TestClusterCollabRunsAreIdentical(t *testing.T) {
 	}
 
 	type runOut struct {
-		events  string
+		spans   []obs.Span
 		results map[int64]traverse.Result
 		res     Result
 	}
@@ -51,8 +52,8 @@ func TestClusterCollabRunsAreIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		c.SetTracer(NewCSVTracer(&buf))
+		ring := obs.NewRing(len(tasks))
+		c.SetTrace(ring)
 		results := make(map[int64]traverse.Result)
 		c.OnComplete = func(task *sched.Task, r traverse.Result) {
 			results[task.ID] = r
@@ -61,12 +62,15 @@ func TestClusterCollabRunsAreIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runOut{events: buf.String(), results: results, res: res}
+		return runOut{spans: ring.Last(len(tasks)), results: results, res: res}
 	}
 
 	a, b := run(), run()
-	if a.events != b.events {
-		t.Error("tracer event streams differ between identical runs")
+	if len(a.spans) != len(tasks) {
+		t.Fatalf("traced %d spans, want %d", len(a.spans), len(tasks))
+	}
+	if !reflect.DeepEqual(a.spans, b.spans) {
+		t.Error("span streams differ between identical runs")
 	}
 	if !reflect.DeepEqual(a.results, b.results) {
 		t.Error("per-task results differ between identical runs")

@@ -7,21 +7,23 @@ import (
 	"subtrav/internal/obs"
 	"subtrav/internal/sched"
 	"subtrav/internal/storage"
+	"subtrav/internal/traverse"
 )
 
-// TestSimTracerIntoRing runs a simulation with obs.SimTracer installed
-// (the structural sim.Tracer adapter) and disk metrics mirrored into a
-// registry: the same observability surface the live runtime exposes.
+// TestSimTracerIntoRing runs a simulation with spans traced into a
+// ring (Cluster.SetTrace) and disk metrics mirrored into a registry:
+// the same observability surface the live runtime exposes.
 func TestSimTracerIntoRing(t *testing.T) {
 	g := testGraph(t)
 	c := newCluster(t, g, 2, 1<<20)
 	ring := obs.NewRing(64)
-	c.SetTracer(obs.NewSimTracer(ring))
+	c.SetTrace(ring)
 	reg := obs.NewRegistry()
 	c.SetDiskMetrics(storage.NewMetrics(reg))
 
 	const n = 25
-	res, err := c.Run(sched.NewBaseline(1), bfsTasks(t, g, n, 31))
+	tasks := bfsTasks(t, g, n, 31)
+	res, err := c.Run(sched.NewBaseline(1), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +47,15 @@ func TestSimTracerIntoRing(t *testing.T) {
 			t.Errorf("span %d virtual timestamps out of order: %+v", s.QueryID, s)
 		}
 		misses += s.CacheMisses
+		// Batching is off, so the unit replays the task's own trace:
+		// every access is charged exactly once, as a hit or a miss.
+		_, tr, err := traverse.Execute(g, tasks[s.QueryID].Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.CacheHits + s.CacheMisses; got != len(tr.Accesses) {
+			t.Errorf("span %d charged %d hits+misses, want %d replayed accesses", s.QueryID, got, len(tr.Accesses))
+		}
 	}
 	if misses == 0 {
 		t.Error("no span recorded cache misses on a cold cluster")

@@ -65,7 +65,7 @@ func (c *Cluster) result(s sched.Scheduler) Result {
 
 	var busy int64
 	for _, u := range c.units {
-		st := u.buffer.Stats()
+		st := u.exec.Buffer().Stats()
 		r.CacheHits += st.Hits
 		r.CacheMisses += st.Misses
 		r.CacheEvictions += st.Evictions

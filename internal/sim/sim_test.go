@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"fmt"
-	"strings"
 	"testing"
 
 	"subtrav/internal/affinity"
@@ -390,63 +387,5 @@ func TestQueueAwareRoutesAroundSlowUnit(t *testing.T) {
 	}
 	if ll > 0.15 {
 		t.Errorf("least-loaded slow-unit share %.2f, want well below fair 0.25", ll)
-	}
-}
-
-func TestCSVTracer(t *testing.T) {
-	g := testGraph(t)
-	c := newCluster(t, g, 2, 1<<20)
-	var buf bytes.Buffer
-	c.SetTracer(NewCSVTracer(&buf))
-	if _, err := c.Run(sched.NewBaseline(1), bfsTasks(t, g, 25, 31)); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "event,task,unit,vtime_ns,misses" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	counts := map[string]int{}
-	for _, line := range lines[1:] {
-		counts[strings.SplitN(line, ",", 2)[0]]++
-	}
-	if counts["dispatch"] != 25 || counts["start"] != 25 || counts["complete"] != 25 {
-		t.Errorf("event counts = %v, want 25 each", counts)
-	}
-	// Per-task ordering: dispatch <= start <= complete in virtual time.
-	type seen struct{ dispatch, start, complete int64 }
-	byTask := map[string]*seen{}
-	for _, line := range lines[1:] {
-		parts := strings.Split(line, ",")
-		ev, task := parts[0], parts[1]
-		var vt int64
-		fmt.Sscanf(parts[3], "%d", &vt)
-		s := byTask[task]
-		if s == nil {
-			s = &seen{dispatch: -1, start: -1, complete: -1}
-			byTask[task] = s
-		}
-		switch ev {
-		case "dispatch":
-			s.dispatch = vt
-		case "start":
-			s.start = vt
-		case "complete":
-			s.complete = vt
-		}
-	}
-	for task, s := range byTask {
-		if s.dispatch < 0 || s.start < s.dispatch || s.complete < s.start {
-			t.Fatalf("task %s lifecycle out of order: %+v", task, s)
-		}
-	}
-	// Completion rows carry miss counts.
-	foundMisses := false
-	for _, line := range lines[1:] {
-		if strings.HasPrefix(line, "complete,") && !strings.HasSuffix(line, ",") {
-			foundMisses = true
-		}
-	}
-	if !foundMisses {
-		t.Error("no completion row carried a miss count")
 	}
 }

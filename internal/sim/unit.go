@@ -3,58 +3,46 @@ package sim
 import (
 	"sort"
 
-	"subtrav/internal/cache"
 	"subtrav/internal/sched"
 	"subtrav/internal/traverse"
 )
 
-// taskState is a task with its precomputed per-query result and
-// access trace.
+// taskState is a task with its per-query result and access trace.
 type taskState struct {
 	task   *sched.Task
 	result traverse.Result
 	trace  *traverse.Trace
+	// scheduled is the virtual time the scheduler placed the task.
+	scheduled int64
 }
 
 // execState is one executing batch — usually of size one. members
-// carry the per-query results and traces; replay is the trace actually
-// charged against the buffer and shared disk: a solo member's own
-// trace, or the batch's shared wave trace (each wave-shared record
-// loaded once — see traverse.Batch).
+// carry the per-query results and traces; the unit's core replays
+// the trace actually charged against the buffer and shared disk.
 type execState struct {
 	members []*taskState
-	replay  *traverse.Trace
-	pos     int   // next replay access
 	start   int64 // virtual time execution began
-	misses  int   // shared-disk fetches so far (whole batch)
 }
 
-// unit is one processing unit: a private buffer, a FCFS queue, and at
-// most one executing task batch.
+// unit is one processing unit: an execution core (private buffer and
+// traversal workspace), a FCFS queue, and at most one executing task
+// batch.
 type unit struct {
-	id     int32
-	buffer *cache.Cache
-	queue  []*taskState
-	cur    *execState
-	// ws is the unit's reusable traversal workspace. Its private
-	// buffers hold the in-flight task's trace across replay events, so
-	// they are only recycled by the unit's own next startNext — after
-	// complete has consumed them. The O(|V|) dense scratch inside is
-	// shared cluster-wide: the event loop runs one traversal at a time.
-	ws *traverse.Workspace
-	// batch is the unit's multi-source executor — ws's own Batch, so
-	// it shares ws's buffers — nil unless Config.BatchTraversals
-	// enables lockstep batches. Its outputs follow the same recycle
-	// discipline as ws.
-	batch *traverse.Batch
-	// speed multiplies the unit's compute and hit costs (1 = nominal).
-	speed float64
+	id    int32
+	queue []*taskState
+	cur   *execState
+	// exec runs the unit's traversals and replays their traces. Its
+	// workspace buffers hold the in-flight batch's traces across
+	// replay events, so they are only recycled by the unit's own next
+	// startNext — after complete has consumed them. The O(|V|) dense
+	// scratch inside is shared cluster-wide: the event loop runs one
+	// traversal at a time.
+	exec *UnitExec
 
 	// completions holds the virtual completion times of finished
 	// tasks, ascending — the basis of CompletedSince (Eq. 3's n').
 	completions []int64
 	busyNanos   int64
-	lastStart   int64
 }
 
 var _ sched.UnitState = (*unit)(nil)
@@ -76,7 +64,7 @@ func (u *unit) CompletedSince(t int64) int {
 }
 
 // MemoryBudget implements affinity.UnitView.
-func (u *unit) MemoryBudget() int64 { return u.buffer.Budget() }
+func (u *unit) MemoryBudget() int64 { return u.exec.Buffer().Budget() }
 
 // effectiveLoad counts queued plus executing tasks (every member of
 // an executing batch counts).

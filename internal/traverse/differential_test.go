@@ -207,13 +207,13 @@ func TestOneShotWrappersMatchReference(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentCheckout hammers a Pool from many goroutines (run
-// under -race in CI): every borrowed Workspace must reproduce the
+// TestPoolConcurrentCheckout runs many goroutines, each with its own
+// Workspace as the live runtime's units have (run under -race in CI):
+// workspaces must be independent, and each must reproduce the
 // reference result regardless of which executions it previously ran.
 func TestPoolConcurrentCheckout(t *testing.T) {
 	dg := diffGraphs(t)[1]
 	queries := diffQueries(dg.g, dg.starts)
-	pool := NewPool(dg.g.NumVertices())
 
 	// Precompute expected outputs once, serially.
 	type expectation struct {
@@ -237,20 +237,18 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ws := NewWorkspace(dg.g.NumVertices())
 			for rep := 0; rep < 5; rep++ {
 				for i := range queries {
 					qi := (i + w) % len(queries)
-					ws := pool.Get()
 					res, tr, err := ExecuteIn(ws, dg.g, queries[qi])
 					if err != nil {
-						pool.Put(ws)
 						errs <- err
 						return
 					}
 					ok := reflect.DeepEqual(want[qi].res, res.Clone()) &&
 						accessesEqual(want[qi].tr.Accesses, tr.Accesses) &&
 						touchedEqual(want[qi].tr.Touched, tr.Touched)
-					pool.Put(ws)
 					if !ok {
 						errs <- fmt.Errorf("worker %d rep %d q%d: output diverged from reference", w, rep, qi)
 						return

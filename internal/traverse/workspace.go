@@ -1,10 +1,6 @@
 package traverse
 
-import (
-	"sync"
-
-	"subtrav/internal/graph"
-)
+import "subtrav/internal/graph"
 
 // Scratch bundles the NumVertices-sized dense structures the kernels
 // share: epoch-stamped sets and maps (see graph.VertexSet/VertexMap)
@@ -131,13 +127,14 @@ func (s *Scratch) ssspMaps(j int) *slotMaps {
 //
 // Ownership contract: the *Trace returned by a Workspace kernel, and
 // the Recommendations/Ranking slices inside its Result, are owned by
-// the Workspace and remain valid only until its next kernel call (or
-// Pool.Put). Callers that retain a Result across executions must
-// Clone it; callers that retain the Trace must copy its slices. The
-// one-shot package functions (BFS, Execute, ...) allocate a private
-// Workspace per call and are exempt — their outputs are never reused.
+// the Workspace and remain valid only until its next kernel call.
+// Callers that retain a Result across executions must Clone it;
+// callers that retain the Trace must copy its slices. The one-shot
+// package functions (BFS, Execute, ...) allocate a private Workspace
+// per call and are exempt — their outputs are never reused.
 //
-// Not safe for concurrent use; use a Pool to share across goroutines.
+// Not safe for concurrent use; give each goroutine its own Workspace
+// (the live runtime keeps one per unit).
 type Workspace struct {
 	scratch *Scratch
 
@@ -278,29 +275,3 @@ func (r *rankSorter) Less(i, j int) bool {
 	}
 	return r.s[i].Vertex < r.s[j].Vertex
 }
-
-// Pool is a concurrency-safe checkout of Workspaces, backed by
-// sync.Pool: the live runtime's workers borrow one per query, so the
-// number of live Workspaces tracks the number of concurrently
-// executing traversals and idle ones are reclaimed under memory
-// pressure.
-type Pool struct {
-	numVertices int
-	pool        sync.Pool
-}
-
-// NewPool returns a pool of Workspaces pre-sized for graphs of
-// numVertices.
-func NewPool(numVertices int) *Pool {
-	p := &Pool{numVertices: numVertices}
-	p.pool.New = func() any { return NewWorkspace(p.numVertices) }
-	return p
-}
-
-// Get checks out a Workspace. Return it with Put when the execution's
-// outputs have been consumed (or cloned).
-func (p *Pool) Get() *Workspace { return p.pool.Get().(*Workspace) }
-
-// Put returns a Workspace to the pool. The caller must not touch the
-// Workspace — or any Trace/Result memory it produced — afterwards.
-func (p *Pool) Put(ws *Workspace) { p.pool.Put(ws) }
